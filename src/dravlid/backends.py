@@ -1,9 +1,10 @@
-"""Pluggable classifier backends: live endpoint, recorded replay, rule baseline.
+"""Classifier backends: one cache-through path for the LLM, plus the rule baseline.
 
-Every backend answers classify_word(word, config) -> RawPrediction and
-classify_words for batches. The live backend consults the response cache
-before the network and persists each fresh reply; replay answers from a
-fixed record set and treats a miss as an error, never a network fallback.
+Every backend answers classify_words(words, config) -> list[RawPrediction].
+LiveBackend looks each distinct word up in the response cache and sends
+only the misses to its miss handler, which asks the chat endpoint and
+persists the reply. ReplayBackend is that same path over a read-only
+record set: a miss is a FixtureMissError, never a request.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ class RawPrediction:
 class Backend(Protocol):
     kind: str
 
-    def classify_word(self, word: str, config: ExperimentConfig) -> RawPrediction: ...
-
     def classify_words(
         self, words: Sequence[str], config: ExperimentConfig
     ) -> list[RawPrediction]: ...
@@ -60,13 +59,43 @@ class LiveBackend:
         self.transport = transport
         self.max_workers = max_workers
 
-    def classify_word(self, word: str, config: ExperimentConfig) -> RawPrediction:
-        prompt = render_prompt(word, config.task)
-        key = cache_key(config.model_id, config.temperature, prompt)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return RawPrediction(word, cached.raw_response, config.run_label, True)
+    def classify_words(
+        self, words: Sequence[str], config: ExperimentConfig
+    ) -> list[RawPrediction]:
+        """Classify a batch; results come back in input order.
 
+        Each distinct word is rendered, keyed and looked up once. Cache
+        hits are answered in the calling thread; only misses go to _miss,
+        at most max_workers at a time. Later occurrences of a word count
+        as cache hits.
+        """
+        answers: dict[str, tuple[str, bool]] = {}
+        misses: list[tuple[str, str]] = []
+        for word in dict.fromkeys(words):
+            prompt = render_prompt(word, config.task)
+            key = cache_key(config.model_id, config.temperature, prompt)
+            record = self.cache.get(key)
+            if record is None:
+                misses.append((word, prompt))
+            else:
+                answers[word] = (record.raw_response, True)
+
+        if len(misses) > 1 and self.max_workers > 1:
+            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
+                replies = list(pool.map(lambda m: self._miss(*m, config), misses))
+        else:
+            replies = [self._miss(word, prompt, config) for word, prompt in misses]
+        answers.update(zip((word for word, _ in misses), replies))
+
+        results = []
+        for word in words:
+            raw_response, from_cache = answers[word]
+            results.append(RawPrediction(word, raw_response, config.run_label, from_cache))
+            answers[word] = (raw_response, True)
+        return results
+
+    def _miss(self, word: str, prompt: str, config: ExperimentConfig) -> tuple[str, bool]:
+        """Answer one uncached prompt: (raw_response, from_cache)."""
         raw = self.transport.complete(
             ChatRequest(
                 model_id=config.model_id,
@@ -78,78 +107,34 @@ class LiveBackend:
         canonical, inserted = self.cache.put_if_absent(
             make_record(config.model_id, config.temperature, prompt, raw)
         )
-        return RawPrediction(
-            word, canonical.raw_response, config.run_label, not inserted
-        )
-
-    def classify_words(
-        self, words: Sequence[str], config: ExperimentConfig
-    ) -> list[RawPrediction]:
-        """Classify a batch, at most max_workers requests in flight.
-
-        Duplicate words are requested once; later occurrences read the
-        first occurrence's persisted record. Results come back in input
-        order regardless of completion order.
-        """
-        if self.max_workers == 1 or len(words) <= 1:
-            return [self.classify_word(word, config) for word in words]
-
-        first_position: dict[str, int] = {}
-        for i, word in enumerate(words):
-            first_position.setdefault(word, i)
-
-        unique_words = list(first_position)
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            unique_results = list(
-                pool.map(lambda w: self.classify_word(w, config), unique_words)
-            )
-        by_word = dict(zip(unique_words, unique_results))
-
-        results = []
-        for i, word in enumerate(words):
-            res = by_word[word]
-            if i != first_position[word]:
-                res = RawPrediction(word, res.raw_response, res.config_label, True)
-            results.append(res)
-        return results
+        return canonical.raw_response, not inserted
 
 
-class ReplayBackend:
-    """Answers exclusively from recorded CacheRecords; misses are errors."""
+class ReplayBackend(LiveBackend):
+    """LiveBackend over a fixed in-memory record set; misses are errors."""
 
     kind = "replay"
 
     def __init__(self, records: Iterable[CacheRecord]):
-        self._records: dict[str, CacheRecord] = {}
+        super().__init__(ResponseCache(None), transport=None, max_workers=1)
         for record in records:
-            if record.cache_key in self._records:
+            if not self.cache.put_if_absent(record)[1]:
                 raise ValueError(
                     f"duplicate cache key in replay fixture: {record.cache_key}"
                 )
-            self._records[record.cache_key] = record
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ReplayBackend":
         return cls(load_cache_records(path))
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.cache)
 
-    def classify_word(self, word: str, config: ExperimentConfig) -> RawPrediction:
-        prompt = render_prompt(word, config.task)
-        key = cache_key(config.model_id, config.temperature, prompt)
-        record = self._records.get(key)
-        if record is None:
-            raise FixtureMissError(
-                f"no recorded response for word {word!r} "
-                f"(model {config.model_id}, temperature {config.temperature})"
-            )
-        return RawPrediction(word, record.raw_response, config.run_label, True)
-
-    def classify_words(
-        self, words: Sequence[str], config: ExperimentConfig
-    ) -> list[RawPrediction]:
-        return [self.classify_word(word, config) for word in words]
+    def _miss(self, word: str, prompt: str, config: ExperimentConfig) -> tuple[str, bool]:
+        raise FixtureMissError(
+            f"no recorded response for word {word!r} "
+            f"(model {config.model_id}, temperature {config.temperature})"
+        )
 
 
 class BaselineBackend:
@@ -164,14 +149,17 @@ class BaselineBackend:
     def __init__(self, lexicons: LexiconSet | None = None):
         self._lexicons = lexicons
 
-    def classify_word(self, word: str, config: ExperimentConfig) -> RawPrediction:
-        lex = self._lexicons if self._lexicons is not None else default_lexicons(config.task)
-        category = classify_baseline(word, config.task, lex)
-        return RawPrediction(
-            word, code_for(category, config.task), config.run_label, False
-        )
-
     def classify_words(
         self, words: Sequence[str], config: ExperimentConfig
     ) -> list[RawPrediction]:
-        return [self.classify_word(word, config) for word in words]
+        task = config.task
+        lex = self._lexicons if self._lexicons is not None else default_lexicons(task)
+        return [
+            RawPrediction(
+                word,
+                code_for(classify_baseline(word, task, lex), task),
+                config.run_label,
+                False,
+            )
+            for word in words
+        ]

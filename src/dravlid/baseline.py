@@ -71,24 +71,37 @@ def load_wordlist(path: str | Path) -> list[str]:
     return entries
 
 
+def _read_lexicons(directory: Path, prefix: str = "") -> LexiconSet:
+    """Read the five word lists from one directory. The stems and suffixes
+    file names carry `prefix` ("kannada_stems.txt" in the bundled data)."""
+    names = (
+        "english_words.txt",
+        f"{prefix}stems.txt",
+        "names.txt",
+        "locations.txt",
+        f"{prefix}suffixes.txt",
+    )
+    missing = [name for name in names if not (directory / name).is_file()]
+    if missing:
+        raise FileNotFoundError(
+            f"lexicon directory {directory} is missing: {', '.join(missing)}"
+        )
+    english, stems, people, places, suffixes = (
+        load_wordlist(directory / name) for name in names
+    )
+    return LexiconSet(
+        english_words=frozenset(english),
+        dravidian_stems=frozenset(stems),
+        name_gazetteer=frozenset(people),
+        location_gazetteer=frozenset(places),
+        dravidian_suffixes=tuple(suffixes),
+    )
+
+
 @lru_cache(maxsize=None)
 def default_lexicons(task: TaskLanguage) -> LexiconSet:
     """Small bundled lists, adequate for tests and smoke runs."""
-    stems_file = {
-        TaskLanguage.KANNADA: "kannada_stems.txt",
-        TaskLanguage.TAMIL: "tamil_stems.txt",
-    }[task]
-    suffix_file = {
-        TaskLanguage.KANNADA: "kannada_suffixes.txt",
-        TaskLanguage.TAMIL: "tamil_suffixes.txt",
-    }[task]
-    return LexiconSet(
-        english_words=frozenset(load_wordlist(_DATA_DIR / "english_words.txt")),
-        dravidian_stems=frozenset(load_wordlist(_DATA_DIR / stems_file)),
-        name_gazetteer=frozenset(load_wordlist(_DATA_DIR / "names.txt")),
-        location_gazetteer=frozenset(load_wordlist(_DATA_DIR / "locations.txt")),
-        dravidian_suffixes=tuple(load_wordlist(_DATA_DIR / suffix_file)),
-    )
+    return _read_lexicons(_DATA_DIR, prefix=f"{task.value}_")
 
 
 def lexicons_from_dir(directory: str | Path) -> LexiconSet:
@@ -99,29 +112,7 @@ def lexicons_from_dir(directory: str | Path) -> LexiconSet:
     task-specific by construction: stems and suffixes belong to whichever
     language the run targets.
     """
-    directory = Path(directory)
-    missing = [
-        name
-        for name in (
-            "english_words.txt",
-            "stems.txt",
-            "names.txt",
-            "locations.txt",
-            "suffixes.txt",
-        )
-        if not (directory / name).is_file()
-    ]
-    if missing:
-        raise FileNotFoundError(
-            f"lexicon directory {directory} is missing: {', '.join(missing)}"
-        )
-    return LexiconSet(
-        english_words=frozenset(load_wordlist(directory / "english_words.txt")),
-        dravidian_stems=frozenset(load_wordlist(directory / "stems.txt")),
-        name_gazetteer=frozenset(load_wordlist(directory / "names.txt")),
-        location_gazetteer=frozenset(load_wordlist(directory / "locations.txt")),
-        dravidian_suffixes=tuple(load_wordlist(directory / "suffixes.txt")),
-    )
+    return _read_lexicons(Path(directory))
 
 
 def _strips_to(word: str, suffixes: Iterable[str], vocabulary: frozenset[str]) -> bool:

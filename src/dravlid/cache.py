@@ -2,8 +2,8 @@
 
 The cache key is a SHA-256 over (model_id, temperature, prompt) rendered as
 canonical JSON, so identical requests hash identically across runs and
-platforms. Temperature is part of the key: the same word at 0.7 and 0.9 is
-two experiments.
+platforms. Temperature is part of the key, always as a float: the same word
+at 0.7 and 0.9 is two experiments, while 1 and 1.0 are one.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dravlid.errors import CacheWriteError
 
 def cache_key(model_id: str, temperature: float, prompt: str) -> str:
     payload = json.dumps(
-        {"model": model_id, "temperature": temperature, "prompt": prompt},
+        {"model": model_id, "temperature": float(temperature), "prompt": prompt},
         sort_keys=True,
         separators=(",", ":"),
         ensure_ascii=False,
@@ -93,17 +93,8 @@ class ResponseCache:
             if cache_bust:
                 self._path.write_text("", encoding="utf-8")
             else:
-                self._load()
-
-    def _load(self) -> None:
-        assert self._path is not None
-        with self._path.open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                record = CacheRecord.from_json_line(line)
-                self._records.setdefault(record.cache_key, record)
+                for record in load_cache_records(self._path):
+                    self._records.setdefault(record.cache_key, record)
 
     @property
     def path(self) -> Path | None:

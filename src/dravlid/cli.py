@@ -26,7 +26,13 @@ from dravlid.cache import ResponseCache
 from dravlid.classifiers import FAILURE_POLICIES
 from dravlid.corpus import compute_stats, detect_task, parse_corpus
 from dravlid.errors import DravlidError, ResponseFormatError, TransportError
-from dravlid.metrics import REPORT_ROWS, report_to_json, report_to_markdown
+from dravlid.metrics import (
+    REPORT_ROWS,
+    report_dicts_to_markdown,
+    report_to_json,
+    report_to_markdown,
+    reports_to_markdown,
+)
 from dravlid.prompting import (
     DEFAULT_MAX_OUTPUT_TOKENS,
     DEFAULT_MODEL_ID,
@@ -39,6 +45,7 @@ from dravlid.runner import (
     predictions_to_jsonl,
     read_predictions_jsonl,
     run_experiment,
+    run_sweep,
     write_predictions_jsonl,
 )
 from dravlid.taxonomy import Category, parse_task
@@ -167,7 +174,10 @@ def _build_backend(args: argparse.Namespace):
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     cache = ResponseCache(args.cache, cache_bust=args.cache_bust)
-    return LiveBackend(cache=cache, transport=transport, max_workers=args.max_workers)
+    try:
+        return LiveBackend(cache=cache, transport=transport, max_workers=args.max_workers)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _emit_run(result, out: str | None) -> None:
@@ -264,10 +274,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     has_gold = all(token.gold is not None for token in ds.tokens)
-    report_dicts: list[dict] = []
-    for config in configs:
-        result = run_experiment(ds, config, backend, failure_policy=args.policy)
-        label = config.run_label
+    reports = []
+    for result in run_sweep(ds, configs, backend, failure_policy=args.policy):
+        label = result.manifest.config.run_label
         if out_dir is not None:
             write_predictions_jsonl(
                 result.word_predictions, out_dir / f"{label}.predictions.jsonl"
@@ -283,13 +292,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 (out_dir / f"{label}.report.json").write_text(
                     report_to_json(report), encoding="utf-8"
                 )
-            report_dicts.append(
-                {key: getattr(report, key) for _, key in REPORT_ROWS}
-                | {"run_label": label}
-            )
+            reports.append(report)
 
-    if report_dicts:
-        sys.stdout.write(_comparison_markdown(report_dicts))
+    if reports:
+        sys.stdout.write(reports_to_markdown(reports))
     else:
         print(f"ran {len(configs)} unlabeled sweep runs over {len(ds)} tokens")
     return EXIT_OK
@@ -307,22 +313,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         if missing:
             raise ValueError(f"{path} is missing metric keys: {', '.join(missing)}")
         dicts.append(data)
-    sys.stdout.write(_comparison_markdown(dicts))
+    sys.stdout.write(report_dicts_to_markdown(dicts))
     return EXIT_OK
-
-
-def _comparison_markdown(report_dicts: list[dict]) -> str:
-    header = (
-        "| Metric | "
-        + " | ".join(d.get("run_label") or "run" for d in report_dicts)
-        + " |"
-    )
-    divider = "|---" * (len(report_dicts) + 1) + "|"
-    lines = [header, divider]
-    for title, key in REPORT_ROWS:
-        values = " | ".join(f"{d[key]:.4f}" for d in report_dicts)
-        lines.append(f"| {title} | {values} |")
-    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -245,17 +245,26 @@ def report_to_json(report: MetricReport) -> str:
     return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
 
 
-def reports_to_markdown(reports: Sequence[MetricReport]) -> str:
-    """Markdown table of the seven headline rows, one value column per run."""
+def report_dicts_to_markdown(reports: Sequence[dict]) -> str:
+    """Markdown table of the seven headline rows, one value column per run.
+
+    Takes reports in the report_to_dict shape, which is also what a saved
+    report JSON file loads as, so fresh and saved runs render alike.
+    """
     if not reports:
         raise ValueError("no reports to render")
-    header = "| Metric | " + " | ".join(r.run_label or "run" for r in reports) + " |"
+    labels = " | ".join(r.get("run_label") or "run" for r in reports)
+    header = f"| Metric | {labels} |"
     divider = "|---" * (len(reports) + 1) + "|"
     lines = [header, divider]
-    for title, attr in REPORT_ROWS:
-        values = " | ".join(f"{getattr(r, attr):.4f}" for r in reports)
+    for title, key in REPORT_ROWS:
+        values = " | ".join(f"{r[key]:.4f}" for r in reports)
         lines.append(f"| {title} | {values} |")
     return "\n".join(lines) + "\n"
+
+
+def reports_to_markdown(reports: Sequence[MetricReport]) -> str:
+    return report_dicts_to_markdown([report_to_dict(r) for r in reports])
 
 
 def report_to_markdown(report: MetricReport) -> str:

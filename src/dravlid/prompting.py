@@ -57,6 +57,8 @@ class ExperimentConfig:
     run_label: str = field(default="")
 
     def __post_init__(self) -> None:
+        # 1 and 1.0 must give one cache key and one run label.
+        object.__setattr__(self, "temperature", float(self.temperature))
         if not self.model_id:
             raise ValueError("model_id must be non-empty")
         if not 0.0 <= self.temperature <= 2.0:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from dravlid.backends import Backend
 from dravlid.cache import utc_now_rfc3339
@@ -119,9 +119,13 @@ def run_sweep(
     configs: Sequence[ExperimentConfig],
     backend: Backend,
     failure_policy: str = "map_to_other",
-) -> list[RunResult]:
-    """One experiment per config, in the given order."""
-    return [run_experiment(ds, config, backend, failure_policy) for config in configs]
+) -> Iterator[RunResult]:
+    """One experiment per config, in the given order, yielded as each ends.
+
+    Lazy so a caller that writes each run out holds one run at a time.
+    """
+    for config in configs:
+        yield run_experiment(ds, config, backend, failure_policy)
 
 
 def write_predictions_jsonl(

@@ -184,6 +184,8 @@ def _extract_content(resp: requests.Response) -> str:
         data = resp.json()
     except ValueError as exc:
         raise ResponseFormatError(f"response body is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ResponseFormatError("response JSON is not an object")
     choices = data.get("choices")
     if not isinstance(choices, list) or not choices:
         raise ResponseFormatError("response JSON has no choices")

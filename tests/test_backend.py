@@ -161,6 +161,12 @@ class TestResponseFormat:
             with pytest.raises(ResponseFormatError):
                 make_transport(server).complete(request())
 
+    def test_non_object_body_is_format_error(self):
+        with StubChatServer() as server:
+            server.enqueue(200, "[1, 2]")
+            with pytest.raises(ResponseFormatError, match="not an object"):
+                make_transport(server).complete(request())
+
     def test_non_json_body_is_format_error(self):
         with StubChatServer() as server:
             server.enqueue(200, "this is not json")
@@ -221,10 +227,10 @@ class TestLiveBackend:
             cache = ResponseCache(tmp_path / "cache.jsonl")
             backend = LiveBackend(cache, make_transport(server))
             config = ExperimentConfig(task=KN)
-            first = backend.classify_word("mane", config)
+            first = backend.classify_words(["mane"], config)[0]
             assert first.raw_response == "reply:mane"
             assert first.from_cache is False
-            second = backend.classify_word("mane", config)
+            second = backend.classify_words(["mane"], config)[0]
             assert second.from_cache is True
             assert server.request_count == 1
 
@@ -276,8 +282,8 @@ class TestLiveBackend:
         with echo_server() as server:
             cache = ResponseCache(tmp_path / "c.jsonl")
             backend = LiveBackend(cache, make_transport(server))
-            backend.classify_word("mane", ExperimentConfig(task=KN, temperature=0.7))
-            backend.classify_word("mane", ExperimentConfig(task=KN, temperature=0.9))
+            backend.classify_words(["mane"], ExperimentConfig(task=KN, temperature=0.7))[0]
+            backend.classify_words(["mane"], ExperimentConfig(task=KN, temperature=0.9))[0]
             assert server.request_count == 2
             assert len(cache) == 2
 
@@ -290,7 +296,7 @@ class TestReplayBackend:
     def test_answers_from_fixture(self):
         backend = ReplayBackend.from_jsonl(replay_fixture_path(KN))
         config = ExperimentConfig(task=KN, temperature=0.7)
-        result = backend.classify_word("hello", config)
+        result = backend.classify_words(["hello"], config)[0]
         assert result.raw_response == "en"
         assert result.from_cache is True
 
@@ -309,10 +315,24 @@ class TestReplayBackend:
         backend = ReplayBackend.from_jsonl(replay_fixture_path(KN))
         config = ExperimentConfig(task=KN, temperature=0.3)
         with pytest.raises(FixtureMissError) as excinfo:
-            backend.classify_word("hello", config)
+            backend.classify_words(["hello"], config)[0]
         message = str(excinfo.value)
         assert "hello" in message
         assert "0.3" in message
+
+    def test_live_backend_over_fixture_matches_replay(self):
+        from dravlid.corpus import parse_corpus_file
+
+        for task in (KN, TM):
+            words = parse_corpus_file(smoke_corpus_path(task), task).surfaces()
+            config = ExperimentConfig(task=task, temperature=0.7)
+            replay = ReplayBackend.from_jsonl(replay_fixture_path(task))
+            # object() has no complete(): any word reaching _miss fails the test.
+            live = LiveBackend(
+                ResponseCache(replay_fixture_path(task)), transport=object()
+            )
+            expected = replay.classify_words(words, config)
+            assert live.classify_words(words, config) == expected
 
     def test_duplicate_fixture_keys_rejected(self):
         rec = make_record("m", 0.7, "The word is x.", "en")
@@ -324,7 +344,7 @@ class TestBaselineBackend:
     def test_raw_response_is_wire_code(self):
         backend = BaselineBackend()
         config = ExperimentConfig(task=TM)
-        result = backend.classify_word("vanakkam", config)
+        result = backend.classify_words(["vanakkam"], config)[0]
         assert result.raw_response == "tm"
         assert result.from_cache is False
 

@@ -30,6 +30,7 @@ class TestCacheKey:
 
     def test_same_inputs_same_key(self):
         assert cache_key("m", 0.7, "p") == cache_key("m", 0.7, "p")
+        assert cache_key("m", 1, "p") == cache_key("m", 1.0, "p")
 
     def test_any_field_changes_key(self):
         base = cache_key("m", 0.7, "p")

@@ -91,6 +91,15 @@ class TestUsageErrors:
         assert code == 1
         assert "LI_API_BASE" in capsys.readouterr().err
 
+    def test_zero_max_workers(self, capsys):
+        code = main(
+            ["classify", KN_SMOKE, "--task", "kn", "--backend", "live",
+             "--base-url", "http://127.0.0.1:9", "--api-key", "k",
+             "--max-workers", "0"]
+        )
+        assert code == 1
+        assert "max_workers" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert main(["stats", "--help"]) == 0
         assert "usage: dravlid stats" in capsys.readouterr().out
@@ -220,6 +229,14 @@ class TestClassifyLive:
             server.enqueue(200, {"unexpected": "shape"})
             code = self.classify(corpus, tmp_path / "cache.jsonl", server)
         assert code == 3
+
+    def test_non_object_reply_is_transport_error(self, tmp_path, capsys):
+        corpus = write_lines(tmp_path / "c.tsv", "hello\ten")
+        with StubChatServer() as server:
+            server.enqueue(200, "[1, 2]")
+            code = self.classify(corpus, tmp_path / "cache.jsonl", server)
+        assert code == 3
+        assert "not an object" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -102,9 +102,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(task=KN, temperature=temp)
 
-    @pytest.mark.parametrize("temp", [0.0, 0.7, 2.0])
+    @pytest.mark.parametrize("temp", [0.0, 0.7, 2.0, 1])
     def test_temperature_endpoints_ok(self, temp):
-        assert ExperimentConfig(task=KN, temperature=temp).temperature == temp
+        config = ExperimentConfig(task=KN, temperature=temp)
+        assert config.temperature == temp
+        assert config.run_label == f"kannada-t{float(temp)}"
 
     def test_empty_model_rejected(self):
         with pytest.raises(ValueError):

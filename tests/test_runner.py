@@ -191,7 +191,7 @@ class TestSweep:
         ds = parse_corpus_file(smoke_corpus_path(KN), KN)
         backend = ReplayBackend.from_jsonl(replay_fixture_path(KN))
         configs = sweep_configs(KN, "gpt-3.5-turbo")
-        results = run_sweep(ds, configs, backend)
+        results = list(run_sweep(ds, configs, backend))
         assert [r.manifest.config.temperature for r in results] == [0.7, 0.8, 0.9]
         # Higher fixture temperatures answer with more mistakes.
         scores = [
