@@ -5,136 +5,34 @@ word, send it through a cached chat-completion backend (or a rule-based
 baseline, or a recorded-response replay), normalize the raw replies into
 the seven-category taxonomy, and score against gold labels with the full
 macro/weighted metric suite.
+
+The package root exports the names the README documents; everything else
+is imported from its submodule.
 """
 
-from dravlid.backends import BaselineBackend, LiveBackend, RawPrediction, ReplayBackend
-from dravlid.baseline import LexiconSet, classify_baseline, default_lexicons
-from dravlid.cache import CacheRecord, ResponseCache, cache_key
-from dravlid.classifiers import (
-    LLMClassifier,
-    RuleBasedClassifier,
-    WordPrediction,
-    resolve_predictions,
-)
-from dravlid.corpus import (
-    Dataset,
-    DatasetStats,
-    LabeledToken,
-    compute_stats,
-    detect_task,
-    parse_corpus,
-    parse_corpus_file,
-    serialize_corpus,
-)
-from dravlid.errors import (
-    CacheWriteError,
-    CorpusParseError,
-    DravlidError,
-    FixtureMissError,
-    ResponseFormatError,
-    TransportError,
-    UnknownLabelCodeError,
-    UnparseableResponseError,
-)
-from dravlid.metrics import (
-    ConfusionMatrix,
-    MetricReport,
-    PerClassMetrics,
-    build_confusion,
-    evaluate,
-    per_class_metrics,
-    report_to_json,
-    report_to_markdown,
-    reports_to_markdown,
-)
-from dravlid.prompting import (
-    DEFAULT_MODEL_ID,
-    SWEEP_TEMPERATURES,
-    ExperimentConfig,
-    render_prompt,
-    sweep_configs,
-)
-from dravlid.runner import (
-    RunManifest,
-    RunResult,
-    evaluate_run,
-    run_experiment,
-    run_sweep,
-)
-from dravlid.taxonomy import (
-    Category,
-    NormalizationOutcome,
-    TaskLanguage,
-    code_for,
-    normalize_response,
-    parse_gold_label,
-    parse_task,
-    valid_codes,
-)
-from dravlid.transport import ChatRequest, ChatTransport, RetryPolicy, TokenBucket
+from dravlid.backends import BaselineBackend, LiveBackend, ReplayBackend
+from dravlid.classifiers import LLMClassifier, RuleBasedClassifier
+from dravlid.corpus import parse_corpus_file
+from dravlid.errors import DravlidError
+from dravlid.metrics import report_to_json, report_to_markdown
+from dravlid.prompting import ExperimentConfig
+from dravlid.runner import evaluate_run, run_experiment
+from dravlid.taxonomy import TaskLanguage
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BaselineBackend",
-    "CacheRecord",
-    "CacheWriteError",
-    "Category",
-    "ChatRequest",
-    "ChatTransport",
-    "ConfusionMatrix",
-    "CorpusParseError",
-    "Dataset",
-    "DatasetStats",
     "DravlidError",
-    "DEFAULT_MODEL_ID",
     "ExperimentConfig",
-    "FixtureMissError",
     "LLMClassifier",
-    "LabeledToken",
-    "LexiconSet",
     "LiveBackend",
-    "MetricReport",
-    "NormalizationOutcome",
-    "PerClassMetrics",
-    "RawPrediction",
     "ReplayBackend",
-    "ResponseCache",
-    "ResponseFormatError",
-    "RetryPolicy",
     "RuleBasedClassifier",
-    "RunManifest",
-    "RunResult",
-    "SWEEP_TEMPERATURES",
     "TaskLanguage",
-    "TokenBucket",
-    "TransportError",
-    "UnknownLabelCodeError",
-    "UnparseableResponseError",
-    "WordPrediction",
-    "build_confusion",
-    "cache_key",
-    "classify_baseline",
-    "code_for",
-    "compute_stats",
-    "default_lexicons",
-    "detect_task",
-    "evaluate",
     "evaluate_run",
-    "normalize_response",
-    "parse_corpus",
     "parse_corpus_file",
-    "parse_gold_label",
-    "parse_task",
-    "per_class_metrics",
-    "render_prompt",
     "report_to_json",
     "report_to_markdown",
-    "reports_to_markdown",
-    "resolve_predictions",
     "run_experiment",
-    "run_sweep",
-    "serialize_corpus",
-    "sweep_configs",
-    "valid_codes",
 ]

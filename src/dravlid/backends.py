@@ -30,7 +30,6 @@ class RawPrediction:
 
     word: str
     raw_response: str
-    config_label: str
     from_cache: bool
 
 
@@ -90,7 +89,7 @@ class LiveBackend:
         results = []
         for word in words:
             raw_response, from_cache = answers[word]
-            results.append(RawPrediction(word, raw_response, config.run_label, from_cache))
+            results.append(RawPrediction(word, raw_response, from_cache))
             answers[word] = (raw_response, True)
         return results
 
@@ -127,9 +126,6 @@ class ReplayBackend(LiveBackend):
     def from_jsonl(cls, path: str | Path) -> "ReplayBackend":
         return cls(load_cache_records(path))
 
-    def __len__(self) -> int:
-        return len(self.cache)
-
     def _miss(self, word: str, prompt: str, config: ExperimentConfig) -> tuple[str, bool]:
         raise FixtureMissError(
             f"no recorded response for word {word!r} "
@@ -155,11 +151,6 @@ class BaselineBackend:
         task = config.task
         lex = self._lexicons if self._lexicons is not None else default_lexicons(task)
         return [
-            RawPrediction(
-                word,
-                code_for(classify_baseline(word, task, lex), task),
-                config.run_label,
-                False,
-            )
+            RawPrediction(word, code_for(classify_baseline(word, task, lex), task), False)
             for word in words
         ]

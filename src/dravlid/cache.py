@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import threading
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from dravlid.errors import CacheWriteError
+from dravlid.errors import CacheReadError, CacheWriteError
+
+_log = logging.getLogger(__name__)
 
 
 def cache_key(model_id: str, temperature: float, prompt: str) -> str:
@@ -89,22 +92,19 @@ class ResponseCache:
         self._path = Path(path) if path is not None else None
         self._lock = threading.Lock()
         self._records: dict[str, CacheRecord] = {}
+        # Set when the file's last line has no newline: (bytes to keep, text
+        # to write first), so that the first append starts on a fresh line.
+        self._mend: tuple[int, str] | None = None
         if self._path is not None and self._path.exists():
             if cache_bust:
                 self._path.write_text("", encoding="utf-8")
             else:
-                for record in load_cache_records(self._path):
+                records, self._mend = _read_cache_file(self._path)
+                for record in records:
                     self._records.setdefault(record.cache_key, record)
-
-    @property
-    def path(self) -> Path | None:
-        return self._path
 
     def __len__(self) -> int:
         return len(self._records)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._records
 
     def get(self, key: str) -> CacheRecord | None:
         return self._records.get(key)
@@ -120,28 +120,56 @@ class ResponseCache:
             if existing is not None:
                 return existing, False
             if self._path is not None:
+                line = record.to_json_line() + "\n"
                 try:
                     self._path.parent.mkdir(parents=True, exist_ok=True)
                     with self._path.open("a", encoding="utf-8") as fh:
-                        fh.write(record.to_json_line() + "\n")
+                        if self._mend is not None:
+                            keep, lead = self._mend
+                            fh.truncate(keep)
+                            line = lead + line
+                        fh.write(line)
                         fh.flush()
                 except OSError as exc:
                     raise CacheWriteError(
                         f"failed to append cache record to {self._path}: {exc}"
                     ) from exc
+                self._mend = None
             self._records[record.cache_key] = record
             return record, True
 
-    def records(self) -> list[CacheRecord]:
-        return list(self._records.values())
-
 
 def load_cache_records(path: str | Path) -> list[CacheRecord]:
-    """Read all records from a JSONL cache file, in file order."""
+    """Read all records from a JSONL cache file, in file order.
+
+    A last line without its newline that is not JSON is what a crash in
+    the middle of an append leaves: it is dropped with a warning. Any other
+    line that is not a record raises CacheReadError naming the file and
+    the 1-based line.
+    """
+    return _read_cache_file(Path(path))[0]
+
+
+def _read_cache_file(path: Path) -> tuple[list[CacheRecord], tuple[int, str] | None]:
+    """The records, and how to mend a last line that has no newline."""
     records = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(CacheRecord.from_json_line(line))
-    return records
+    with path.open("rb") as fh:
+        line = b""
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                records.append(CacheRecord.from_json_line(line.decode("utf-8")))
+            except ValueError as exc:  # not UTF-8 or not JSON
+                if line.endswith(b"\n"):
+                    raise CacheReadError(f"{path} line {number}: not JSON: {exc}") from None
+                _log.warning("%s line %d: dropped a torn last line (not JSON, no newline)",
+                             path, number)
+                return records, (fh.tell() - len(line), "")
+            except TypeError:
+                raise CacheReadError(f"{path} line {number}: not a JSON object") from None
+            except KeyError as exc:
+                raise CacheReadError(f"{path} line {number}: missing field {exc}") from None
+        if line and not line.endswith(b"\n"):
+            return records, (fh.tell(), "\n")
+    return records, None

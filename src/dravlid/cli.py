@@ -51,6 +51,7 @@ from dravlid.runner import (
 from dravlid.taxonomy import Category, parse_task
 from dravlid.transport import (
     DEFAULT_RATE_PER_MINUTE,
+    DEFAULT_TIMEOUT,
     ChatTransport,
     RetryPolicy,
     TokenBucket,
@@ -133,9 +134,11 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
         help="live request budget per minute; 0 disables limiting",
     )
     parser.add_argument("--max-workers", type=int, default=DEFAULT_MAX_WORKERS)
-    parser.add_argument("--max-attempts", type=int, default=None)
-    parser.add_argument("--retry-base-delay", type=float, default=None)
-    parser.add_argument("--timeout", type=float, default=None)
+    parser.add_argument("--max-attempts", type=int, default=RetryPolicy.max_attempts)
+    parser.add_argument(
+        "--retry-base-delay", type=float, default=RetryPolicy.base_delay
+    )
+    parser.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     parser.add_argument(
         "--lexicon-dir",
         metavar="DIR",
@@ -155,21 +158,15 @@ def _build_backend(args: argparse.Namespace):
             )
         return ReplayBackend.from_jsonl(args.cache)
 
-    retry_kwargs = {}
-    if args.max_attempts is not None:
-        retry_kwargs["max_attempts"] = args.max_attempts
-    if args.retry_base_delay is not None:
-        retry_kwargs["base_delay"] = args.retry_base_delay
-    transport_kwargs = {}
-    if args.timeout is not None:
-        transport_kwargs["timeout"] = args.timeout
     try:
         transport = ChatTransport(
             base_url=args.base_url,
             api_key=args.api_key,
-            retry=RetryPolicy(**retry_kwargs) if retry_kwargs else None,
+            retry=RetryPolicy(
+                max_attempts=args.max_attempts, base_delay=args.retry_base_delay
+            ),
             rate_limiter=TokenBucket(args.rate_limit) if args.rate_limit > 0 else None,
-            **transport_kwargs,
+            timeout=args.timeout,
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
@@ -219,8 +216,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    task = parse_task(args.task)
-    ds, _ = _read_corpus_arg(args.corpus, args.task)
+    ds, task = _read_corpus_arg(args.corpus, args.task)
     config = ExperimentConfig(
         task=task,
         model_id=args.model,
@@ -265,8 +261,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    task = parse_task(args.task)
-    ds, _ = _read_corpus_arg(args.corpus, args.task)
+    ds, task = _read_corpus_arg(args.corpus, args.task)
     backend = _build_backend(args)
     configs = sweep_configs(task, args.model, temperatures=args.temperatures)
     out_dir = Path(args.out_dir) if args.out_dir else None

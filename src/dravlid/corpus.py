@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable
 
 from dravlid.errors import CorpusParseError, UnknownLabelCodeError
 from dravlid.taxonomy import Category, TaskLanguage, code_for, parse_gold_label
@@ -134,8 +134,8 @@ def parse_corpus_file(path: str | Path, task: TaskLanguage) -> Dataset:
     )
 
 
-def serialize_corpus(ds: Dataset, out: TextIO | None = None) -> str:
-    """Write a Dataset back to the tab-separated format.
+def serialize_corpus(ds: Dataset) -> str:
+    """Render a Dataset in the tab-separated format.
 
     Emits one blank line per sentence-index step so that re-parsing yields
     an identical token sequence, including runs of consecutive blanks.
@@ -152,8 +152,6 @@ def serialize_corpus(ds: Dataset, out: TextIO | None = None) -> str:
     text = "\n".join(lines)
     if lines:
         text += "\n"
-    if out is not None:
-        out.write(text)
     return text
 
 

@@ -31,6 +31,10 @@ class ResponseFormatError(DravlidError):
     """The chat endpoint returned a body that does not match the wire contract."""
 
 
+class CacheReadError(DravlidError):
+    """A cache or replay file holds a line that is not a cache record."""
+
+
 class CacheWriteError(DravlidError):
     """A response could not be persisted to the cache file."""
 

@@ -134,39 +134,36 @@ def per_class_metrics(cm: ConfusionMatrix) -> list[PerClassMetrics]:
     return result
 
 
-def aggregate(
-    per_class: Sequence[PerClassMetrics],
-    n: int,
+def evaluate(
+    gold: Sequence[Category],
+    pred: Sequence[Category],
     run_label: str = "",
-    include_zero_support: bool = False,
-    prediction_only_classes: int | None = None,
+    macro_convention: str = "support",
 ) -> MetricReport:
-    """Combine per-class metrics into macro/weighted averages and accuracy.
+    """Full pipeline: confusion matrix, per-class metrics, aggregation.
 
-    Weighted recall and accuracy are both computed as total TP over n, which
-    is what the support-weighted recall sum reduces to; the two therefore
-    agree bitwise by construction.
+    macro_convention "support" averages over classes with gold instances;
+    "fixed" averages over the full 7-label taxonomy. Weighted recall and
+    accuracy are both computed as total TP over n, which is what the
+    support-weighted recall sum reduces to; the two therefore agree bitwise
+    by construction.
     """
-    if n <= 0:
-        raise ValueError("cannot aggregate metrics over zero instances")
-    if not per_class:
-        raise ValueError("per_class must be non-empty")
-    if sum(m.support for m in per_class) != n:
-        raise ValueError("n must equal the sum of per-class supports")
-
-    if include_zero_support:
-        macro_pool = list(per_class)
+    if macro_convention == "support":
+        labels = None
+    elif macro_convention == "fixed":
+        labels = tuple(Category)
     else:
+        raise ValueError(f"unknown macro convention {macro_convention!r}")
+
+    cm = build_confusion(gold, pred, labels=labels)
+    per_class = per_class_metrics(cm)
+    n = cm.n
+    if labels is None:
         macro_pool = [m for m in per_class if m.support > 0]
+    else:
+        macro_pool = per_class
     k = len(macro_pool)
-
-    total_tp = sum(m.tp for m in per_class)
-    total_correct_over_n = total_tp / n
-
-    if prediction_only_classes is None:
-        # Under observed-label matrices, every zero-support label must have
-        # been predicted somewhere, so this count is exact.
-        prediction_only_classes = sum(1 for m in per_class if m.support == 0)
+    total_correct_over_n = sum(m.tp for m in per_class) / n
 
     return MetricReport(
         run_label=run_label,
@@ -178,41 +175,11 @@ def aggregate(
         weighted_recall=total_correct_over_n,
         accuracy=total_correct_over_n,
         per_class=tuple(per_class),
-        prediction_only_classes=prediction_only_classes,
-    )
-
-
-def evaluate(
-    gold: Sequence[Category],
-    pred: Sequence[Category],
-    run_label: str = "",
-    macro_convention: str = "support",
-) -> MetricReport:
-    """Full pipeline: confusion matrix, per-class metrics, aggregation.
-
-    macro_convention "support" averages over classes with gold instances;
-    "fixed" averages over the full 7-label taxonomy.
-    """
-    if macro_convention == "support":
-        labels, include_zero = None, False
-    elif macro_convention == "fixed":
-        labels, include_zero = tuple(Category), True
-    else:
-        raise ValueError(f"unknown macro convention {macro_convention!r}")
-
-    cm = build_confusion(gold, pred, labels=labels)
-    per_class = per_class_metrics(cm)
-    prediction_only = sum(
-        1
-        for i in range(len(cm.labels))
-        if cm.row_sum(i) == 0 and cm.col_sum(i) > 0
-    )
-    return aggregate(
-        per_class,
-        cm.n,
-        run_label=run_label,
-        include_zero_support=include_zero,
-        prediction_only_classes=prediction_only,
+        prediction_only_classes=sum(
+            1
+            for i in range(len(cm.labels))
+            if cm.row_sum(i) == 0 and cm.col_sum(i) > 0
+        ),
     )
 
 

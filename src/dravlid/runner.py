@@ -84,7 +84,7 @@ def run_experiment(
     manifest = RunManifest(
         config=config,
         corpus_path=ds.source_path,
-        backend_kind=getattr(backend, "kind", "unknown"),
+        backend_kind=backend.kind,
         failure_policy=failure_policy,
         started_at=started_at,
         finished_at=finished_at,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import requests
@@ -49,27 +49,24 @@ class ChatRequest:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff over 429s, 5xx, and transport-level failures."""
+    """Exponential backoff, doubling per attempt, over 429s, 5xx, and
+    transport-level failures."""
 
     max_attempts: int = 5
     base_delay: float = 1.0
-    backoff_factor: float = 2.0
-    retryable_statuses: frozenset[int] = field(default=_RETRYABLE_STATUSES)
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         if self.base_delay < 0:
             raise ValueError("base_delay must be non-negative")
-        if self.backoff_factor < 1:
-            raise ValueError("backoff_factor must be at least 1")
 
     def is_retryable(self, status: int) -> bool:
-        return status in self.retryable_statuses
+        return status in _RETRYABLE_STATUSES
 
     def delay_after(self, attempt: int) -> float:
         """Seconds to wait after the given 1-based failed attempt."""
-        return self.base_delay * self.backoff_factor ** (attempt - 1)
+        return self.base_delay * 2 ** (attempt - 1)
 
 
 class TokenBucket:
@@ -138,6 +135,8 @@ class ChatTransport:
         self._timeout = timeout
         self._session = session if session is not None else requests.Session()
         self._sleep = sleep
+        # complete() runs in pool threads; += on an attribute is not atomic.
+        self._count_lock = threading.Lock()
         self.requests_sent = 0
 
     def complete(self, req: ChatRequest) -> str:
@@ -147,8 +146,9 @@ class ChatTransport:
         for attempt in range(1, self.retry.max_attempts + 1):
             if self._rate_limiter is not None:
                 self._rate_limiter.acquire()
-            try:
+            with self._count_lock:
                 self.requests_sent += 1
+            try:
                 resp = self._session.post(
                     self._url,
                     json=req.to_wire(),
@@ -199,13 +199,3 @@ def _extract_content(resp: requests.Response) -> str:
         raise ResponseFormatError("choices[0].message.content is not a string")
     return content
 
-
-def chat_complete(
-    req: ChatRequest,
-    base_url: str | None = None,
-    api_key: str | None = None,
-    **transport_kwargs,
-) -> str:
-    """One-shot convenience over ChatTransport."""
-    transport = ChatTransport(base_url=base_url, api_key=api_key, **transport_kwargs)
-    return transport.complete(req)

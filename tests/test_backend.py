@@ -4,7 +4,11 @@ Everything here talks only to a scripted localhost server (or no server
 at all); the conftest socket guard enforces that.
 """
 
+import sys
+import threading
+
 import pytest
+import requests
 from stub_server import StubChatServer, content_reply
 
 from dravlid.backends import BaselineBackend, LiveBackend, ReplayBackend
@@ -13,13 +17,7 @@ from dravlid.errors import FixtureMissError, ResponseFormatError, TransportError
 from dravlid.fixtures import replay_fixture_path, smoke_corpus_path
 from dravlid.prompting import ExperimentConfig, render_prompt
 from dravlid.taxonomy import TaskLanguage
-from dravlid.transport import (
-    ChatRequest,
-    ChatTransport,
-    RetryPolicy,
-    TokenBucket,
-    chat_complete,
-)
+from dravlid.transport import ChatRequest, ChatTransport, RetryPolicy, TokenBucket
 
 KN = TaskLanguage.KANNADA
 TM = TaskLanguage.TAMIL
@@ -77,14 +75,6 @@ class TestWireFormat:
             server.enqueue(200, content_reply("ಕನ್ನಡ"))
             assert make_transport(server).complete(request()) == "ಕನ್ನಡ"
 
-    def test_one_shot_helper(self):
-        with StubChatServer() as server:
-            server.enqueue(200, content_reply("en"))
-            content = chat_complete(
-                request(), base_url=server.base_url, api_key="k"
-            )
-            assert content == "en"
-
 
 class TestRetries:
     def test_429_429_200_succeeds_on_attempt_three(self):
@@ -135,7 +125,6 @@ class TestRetries:
         policy = RetryPolicy()
         assert policy.max_attempts == 5
         assert policy.base_delay == 1.0
-        assert policy.backoff_factor == 2.0
         assert policy.is_retryable(429)
         assert policy.is_retryable(500) and policy.is_retryable(599)
         assert not policy.is_retryable(401)
@@ -144,8 +133,40 @@ class TestRetries:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
+
+
+class TestRequestCount:
+    def test_concurrent_completes_are_all_counted(self):
+        class OkSession:
+            def post(self, url, json, headers, timeout):
+                resp = requests.Response()
+                resp.status_code = 200
+                resp._content = b'{"choices": [{"message": {"content": "en"}}]}'
+                return resp
+
+        transport = ChatTransport(
+            base_url="http://127.0.0.1:9", api_key="k", session=OkSession()
+        )
+        replies = []
+
+        def worker():
+            for _ in range(25):
+                replies.append(transport.complete(request()))
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        # Switching threads often makes a lost update to the count likelier.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert replies == ["en"] * 100
+        assert transport.requests_sent == 100
 
 
 class TestResponseFormat:

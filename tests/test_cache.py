@@ -5,6 +5,8 @@ import re
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dravlid.cache import (
     CacheRecord,
@@ -14,7 +16,7 @@ from dravlid.cache import (
     make_record,
     utc_now_rfc3339,
 )
-from dravlid.errors import CacheWriteError
+from dravlid.errors import CacheReadError, CacheWriteError
 
 
 def record(prompt="The word is x.", response="en", temp=0.7) -> CacheRecord:
@@ -185,3 +187,76 @@ class TestLoadCacheRecords:
         rec = record()
         path.write_text("\n" + rec.to_json_line() + "\n\n", encoding="utf-8")
         assert load_cache_records(path) == [rec]
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("this is not json", "not JSON"),
+            ("[1, 2]", "not a JSON object"),
+            ('{"foo": 1}', "missing field 'cache_key'"),
+        ],
+    )
+    def test_bad_line_names_file_and_line(self, tmp_path, line, reason):
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            record().to_json_line() + "\n" + line + "\n", encoding="utf-8"
+        )
+        with pytest.raises(CacheReadError) as excinfo:
+            load_cache_records(path)
+        assert str(excinfo.value).startswith(f"{path} line 2: {reason}")
+
+    def test_bad_last_line_without_newline_is_still_an_error(self, tmp_path):
+        # Only a line that is not JSON can be the torn end of an append.
+        path = tmp_path / "c.jsonl"
+        path.write_text(record().to_json_line() + "\n[1, 2]", encoding="utf-8")
+        with pytest.raises(CacheReadError, match="line 2: not a JSON object"):
+            load_cache_records(path)
+
+    def test_torn_last_line_dropped_with_warning(self, tmp_path, caplog):
+        path = tmp_path / "c.jsonl"
+        rec = record()
+        path.write_text(
+            rec.to_json_line() + "\n" + record(prompt="y").to_json_line()[:40],
+            encoding="utf-8",
+        )
+        assert load_cache_records(path) == [rec]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path} line 2: dropped a torn last line (not JSON, no newline)"
+        ]
+
+
+# Three records, two of them with multi-byte UTF-8, so that some cuts fall
+# inside a character.
+TORN_RECORDS = [
+    record(prompt="The word is mane.", response="kn"),
+    record(prompt="The word is ಮನೆ.", response="ಕನ್ನಡ"),
+    record(prompt="The word is bookalli.", response="mixed"),
+]
+TORN_LINES = [r.to_json_line().encode("utf-8") for r in TORN_RECORDS]
+TORN_FILE = b"".join(line + b"\n" for line in TORN_LINES)
+
+
+class TestTornTail:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cut=st.integers(min_value=0, max_value=len(TORN_FILE)))
+    def test_any_cut_keeps_complete_records_and_next_append_is_clean(
+        self, tmp_path, cut
+    ):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(TORN_FILE[:cut])
+        ends = [sum(len(line) + 1 for line in TORN_LINES[:i]) + len(TORN_LINES[i])
+                for i in range(len(TORN_LINES))]
+        complete = [r for r, end in zip(TORN_RECORDS, ends) if end <= cut]
+        assert load_cache_records(path) == complete
+
+        extra = record(prompt="The word is new.")
+        ResponseCache(path).put_if_absent(extra)
+        assert load_cache_records(path) == complete + [extra]
+        assert path.read_bytes().endswith(b"\n")
+
+    def test_read_only_load_leaves_the_file_alone(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        torn = TORN_FILE[:-10]
+        path.write_bytes(torn)
+        assert len(ResponseCache(path)) == 2
+        assert path.read_bytes() == torn

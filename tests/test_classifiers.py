@@ -21,7 +21,7 @@ KN = TaskLanguage.KANNADA
 
 def raws(*pairs) -> list[RawPrediction]:
     return [
-        RawPrediction(word=w, raw_response=r, config_label="t", from_cache=False)
+        RawPrediction(word=w, raw_response=r, from_cache=False)
         for w, r in pairs
     ]
 
@@ -72,7 +72,7 @@ class TestResolvePredictions:
         assert "no idea at all" in message
 
     def test_from_cache_carried_through(self):
-        raw = RawPrediction("a", "en", "t", from_cache=True)
+        raw = RawPrediction("a", "en", from_cache=True)
         resolved = resolve_predictions([raw], KN, "map_to_other")
         assert resolved[0].from_cache is True
 

@@ -6,9 +6,11 @@ Exit-code contract: 0 success, 1 usage, 2 data, 3 transport.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from dravlid.cache import load_cache_records
 from dravlid.cli import main
 from dravlid.fixtures import replay_fixture_path, smoke_corpus_path
 from dravlid.taxonomy import TaskLanguage
@@ -156,6 +158,19 @@ class TestClassify:
         assert code == 2
         assert "qwerty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ['{"foo": 1}', "[1, 2]"])
+    def test_replay_line_not_a_record_is_data_error(self, tmp_path, capsys, line):
+        recorded = Path(KN_REPLAY).read_text(encoding="utf-8")
+        replay = tmp_path / "replay.jsonl"
+        replay.write_text(recorded + line + "\n", encoding="utf-8")
+        code = main(
+            ["classify", KN_SMOKE, "--task", "kn", "--backend", "replay",
+             "--cache", str(replay)]
+        )
+        assert code == 2
+        bad_line = recorded.count("\n") + 1
+        assert f"data error: {replay} line {bad_line}: " in capsys.readouterr().err
+
 
 class TestClassifyLive:
     def classify(self, corpus, cache, server, *extra):
@@ -237,6 +252,25 @@ class TestClassifyLive:
             code = self.classify(corpus, tmp_path / "cache.jsonl", server)
         assert code == 3
         assert "not an object" in capsys.readouterr().err
+
+    def test_torn_cache_tail_is_dropped_and_mended(self, tmp_path, caplog):
+        cache = tmp_path / "cache.jsonl"
+        both = write_lines(tmp_path / "both.tsv", "hello\ten", "mane\tkn")
+        with StubChatServer(scripted_words({"hello": "en", "mane": "kn"})) as server:
+            hello = write_lines(tmp_path / "hello.tsv", "hello\ten")
+            assert self.classify(hello, cache, server) == 0
+            # What a crash in the middle of the next append leaves behind.
+            with cache.open("a", encoding="utf-8") as fh:
+                fh.write('{"cache_key": "0123')
+            assert self.classify(both, cache, server) == 0
+            assert "dropped a torn last line" in caplog.text
+            assert server.request_count == 2
+            caplog.clear()
+            assert len(load_cache_records(cache)) == 2
+            assert caplog.records == []
+            # The mended file serves the whole corpus.
+            assert self.classify(both, cache, server) == 0
+            assert server.request_count == 2
 
 
 class TestEvaluate:

@@ -10,8 +10,6 @@ from dravlid.fixtures import oracle_metrics
 from dravlid.metrics import (
     REPORT_ROWS,
     MetricReport,
-    PerClassMetrics,
-    aggregate,
     build_confusion,
     evaluate,
     per_class_metrics,
@@ -199,17 +197,6 @@ class TestMacroConventions:
     def test_unknown_convention_rejected(self):
         with pytest.raises(ValueError):
             evaluate([A], [A], macro_convention="micro")
-
-
-class TestAggregateValidation:
-    def test_support_sum_must_equal_n(self):
-        per_class = [PerClassMetrics(A, 1.0, 1.0, 1.0, support=2, tp=2)]
-        with pytest.raises(ValueError):
-            aggregate(per_class, n=3)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            aggregate([], n=0)
 
 
 class TestRendering:
