@@ -35,6 +35,9 @@ def utc_now_rfc3339() -> str:
     return datetime.now(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
+_STRING_FIELDS = ("cache_key", "model_id", "prompt", "raw_response", "created_at")
+
+
 @dataclass(frozen=True)
 class CacheRecord:
     """One persisted model reply, identified by its request hash."""
@@ -51,8 +54,13 @@ class CacheRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "CacheRecord":
+        """Parse one line: ValueError if it is not JSON, TypeError if it is
+        not an object or a field has the wrong type, KeyError if a field
+        is missing."""
         data = json.loads(line)
-        return cls(
+        if not isinstance(data, dict):
+            raise TypeError("not a JSON object")
+        record = cls(
             cache_key=data["cache_key"],
             model_id=data["model_id"],
             temperature=data["temperature"],
@@ -60,6 +68,14 @@ class CacheRecord:
             raw_response=data["raw_response"],
             created_at=data["created_at"],
         )
+        for name in _STRING_FIELDS:
+            value = getattr(record, name)
+            if not isinstance(value, str):
+                raise TypeError(f"field {name!r} is {type(value).__name__}, not a string")
+        t = record.temperature
+        if isinstance(t, bool) or not isinstance(t, (int, float)):
+            raise TypeError(f"field 'temperature' is {type(t).__name__}, not a number")
+        return record
 
 
 def make_record(
@@ -166,8 +182,8 @@ def _read_cache_file(path: Path) -> tuple[list[CacheRecord], tuple[int, str] | N
                 _log.warning("%s line %d: dropped a torn last line (not JSON, no newline)",
                              path, number)
                 return records, (fh.tell() - len(line), "")
-            except TypeError:
-                raise CacheReadError(f"{path} line {number}: not a JSON object") from None
+            except TypeError as exc:
+                raise CacheReadError(f"{path} line {number}: {exc}") from None
             except KeyError as exc:
                 raise CacheReadError(f"{path} line {number}: missing field {exc}") from None
         if line and not line.endswith(b"\n"):

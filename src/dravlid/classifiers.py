@@ -8,12 +8,11 @@ to train: fit only resolves and validates parameters.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
-from dravlid.backends import Backend, RawPrediction
-from dravlid.baseline import LexiconSet, classify_baseline
+from dravlid.backends import Backend, BaselineBackend, RawPrediction
+from dravlid.baseline import LexiconSet
 from dravlid.corpus import Dataset
 from dravlid.errors import UnparseableResponseError
 from dravlid.prompting import (
@@ -101,30 +100,32 @@ def resolve_predictions(
     return resolved
 
 
+@dataclass(eq=False)
 class BaseWordClassifier:
-    """get_params/set_params over the constructor signature, sklearn-style."""
+    """One prediction path for both estimators: a subclass supplies the
+    backend and the config, and its fields are its parameters.
 
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        signature = inspect.signature(cls.__init__)
-        return [
-            name
-            for name, p in signature.parameters.items()
-            if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
+    eq=False keeps equality and hashing by identity, as sklearn expects.
+    """
+
+    task: str | TaskLanguage = "kannada"
+
+    # A plain class attribute, not a parameter: the rule backend answers
+    # with wire codes, which always parse. LLMClassifier makes it a field.
+    failure_policy = "map_to_other"
+
+    def _backend(self) -> Backend:
+        raise NotImplementedError
+
+    def _config(self) -> ExperimentConfig:
+        raise NotImplementedError
 
     def get_params(self, deep: bool = True) -> dict:
-        params = {}
-        for name in self._param_names():
-            value = getattr(self, name)
-            params[name] = value
-            if deep and hasattr(value, "get_params"):
-                for sub_name, sub_value in value.get_params().items():
-                    params[f"{name}__{sub_name}"] = sub_value
-        return params
+        # deep is part of sklearn's interface; no parameter is an estimator.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params):
-        valid = set(self._param_names())
+        valid = {f.name for f in fields(self)}
         for name, value in params.items():
             if name not in valid:
                 raise ValueError(
@@ -135,17 +136,28 @@ class BaseWordClassifier:
 
     def fit(self, X=None, y=None):
         """Stateless estimator: validates parameters and returns self."""
-        self.task_ = parse_task(self.task)  # type: ignore[attr-defined]
+        self.task_ = parse_task(self.task)
         self.classes_ = tuple(Category)
         return self
 
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params(deep=False).items())
-        return f"{type(self).__name__}({args})"
+    def predict_detailed(self, X) -> list[WordPrediction]:
+        policy = check_policy(self.failure_policy)
+        words = check_words(X)
+        config = self._config()
+        raws = self._backend().classify_words(words, config)
+        return resolve_predictions(raws, config.task, policy)
+
+    def predict(self, X) -> list[Category]:
+        return [p.category for p in self.predict_detailed(X)]
+
+    def predict_codes(self, X) -> list[str]:
+        return [p.category_code for p in self.predict_detailed(X)]
 
 
+@dataclass(eq=False)
 class RuleBasedClassifier(BaseWordClassifier):
-    """Deterministic lexicon/gazetteer/suffix classifier.
+    """Deterministic lexicon/gazetteer/suffix classifier: BaselineBackend
+    behind the estimator interface.
 
     Parameters
     ----------
@@ -153,19 +165,16 @@ class RuleBasedClassifier(BaseWordClassifier):
     lexicons : optional LexiconSet; bundled lists are used when omitted
     """
 
-    def __init__(self, task: str | TaskLanguage = "kannada", lexicons: LexiconSet | None = None):
-        self.task = task
-        self.lexicons = lexicons
+    lexicons: LexiconSet | None = None
 
-    def predict(self, X) -> list[Category]:
-        task = parse_task(self.task)
-        return [classify_baseline(w, task, self.lexicons) for w in check_words(X)]
+    def _backend(self) -> Backend:
+        return BaselineBackend(self.lexicons)
 
-    def predict_codes(self, X) -> list[str]:
-        task = parse_task(self.task)
-        return [code_for(c, task) for c in self.predict(X)]
+    def _config(self) -> ExperimentConfig:
+        return ExperimentConfig(task=parse_task(self.task))
 
 
+@dataclass(eq=False)
 class LLMClassifier(BaseWordClassifier):
     """Prompt-a-model classifier over any backend (live, replay, baseline).
 
@@ -177,21 +186,19 @@ class LLMClassifier(BaseWordClassifier):
     failure_policy : "map_to_other" (default) or "strict"
     """
 
-    def __init__(
-        self,
-        task: str | TaskLanguage = "kannada",
-        backend: Backend | None = None,
-        model_id: str = DEFAULT_MODEL_ID,
-        temperature: float = 0.7,
-        max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
-        failure_policy: str = "map_to_other",
-    ):
-        self.task = task
-        self.backend = backend
-        self.model_id = model_id
-        self.temperature = temperature
-        self.max_output_tokens = max_output_tokens
-        self.failure_policy = failure_policy
+    backend: Backend | None = None
+    model_id: str = DEFAULT_MODEL_ID
+    temperature: float = 0.7
+    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS
+    failure_policy: str = "map_to_other"
+
+    def _backend(self) -> Backend:
+        if self.backend is None:
+            raise ValueError(
+                "no backend configured; pass a LiveBackend, ReplayBackend, "
+                "or BaselineBackend"
+            )
+        return self.backend
 
     def _config(self) -> ExperimentConfig:
         return ExperimentConfig(
@@ -200,21 +207,3 @@ class LLMClassifier(BaseWordClassifier):
             temperature=self.temperature,
             max_output_tokens=self.max_output_tokens,
         )
-
-    def predict_detailed(self, X) -> list[WordPrediction]:
-        if self.backend is None:
-            raise ValueError(
-                "no backend configured; pass a LiveBackend, ReplayBackend, "
-                "or BaselineBackend"
-            )
-        check_policy(self.failure_policy)
-        words = check_words(X)
-        config = self._config()
-        raws = self.backend.classify_words(words, config)
-        return resolve_predictions(raws, config.task, self.failure_policy)
-
-    def predict(self, X) -> list[Category]:
-        return [p.category for p in self.predict_detailed(X)]
-
-    def predict_codes(self, X) -> list[str]:
-        return [p.category_code for p in self.predict_detailed(X)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from dravlid.backends import (
@@ -64,7 +65,17 @@ EXIT_TRANSPORT = 3
 
 
 class _UsageError(Exception):
-    """Bad flag combination or missing configuration; maps to exit code 1."""
+    """Bad flag value or combination, or missing configuration; maps to exit code 1."""
+
+
+@contextmanager
+def _flag_values():
+    """Treat a ValueError from building objects out of flag values as a
+    usage error. Data loading stays outside, so bad files remain data errors."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,23 +169,19 @@ def _build_backend(args: argparse.Namespace):
             )
         return ReplayBackend.from_jsonl(args.cache)
 
-    try:
+    with _flag_values():
         transport = ChatTransport(
             base_url=args.base_url,
             api_key=args.api_key,
             retry=RetryPolicy(
                 max_attempts=args.max_attempts, base_delay=args.retry_base_delay
             ),
-            rate_limiter=TokenBucket(args.rate_limit) if args.rate_limit > 0 else None,
+            rate_limiter=TokenBucket(args.rate_limit) if args.rate_limit != 0 else None,
             timeout=args.timeout,
         )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
     cache = ResponseCache(args.cache, cache_bust=args.cache_bust)
-    try:
+    with _flag_values():
         return LiveBackend(cache=cache, transport=transport, max_workers=args.max_workers)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
 
 
 def _emit_run(result, out: str | None) -> None:
@@ -217,13 +224,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     ds, task = _read_corpus_arg(args.corpus, args.task)
-    config = ExperimentConfig(
-        task=task,
-        model_id=args.model,
-        temperature=args.temperature,
-        max_output_tokens=args.max_output_tokens,
-        run_label=args.run_label,
-    )
+    with _flag_values():
+        config = ExperimentConfig(
+            task=task,
+            model_id=args.model,
+            temperature=args.temperature,
+            max_output_tokens=args.max_output_tokens,
+            run_label=args.run_label,
+        )
     backend = _build_backend(args)
     result = run_experiment(ds, config, backend, failure_policy=args.policy)
     _emit_run(result, args.out)
@@ -262,8 +270,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     ds, task = _read_corpus_arg(args.corpus, args.task)
+    with _flag_values():
+        configs = sweep_configs(
+            task, args.model, args.temperatures, args.max_output_tokens
+        )
     backend = _build_backend(args)
-    configs = sweep_configs(task, args.model, temperatures=args.temperatures)
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

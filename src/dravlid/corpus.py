@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable
 
 from dravlid.errors import CorpusParseError, UnknownLabelCodeError
-from dravlid.taxonomy import Category, TaskLanguage, code_for, parse_gold_label
+from dravlid.taxonomy import Category, TaskLanguage, code_for, parse_gold_label, valid_codes
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,9 @@ def detect_task(text: str) -> TaskLanguage:
     only shared codes defaults to Kannada, where the stats are identical
     under either reading.
     """
-    kannada_only = {"kn", "mixed"}
-    tamil_only = {"tm", "tmen"}
+    kannada = set(valid_codes(TaskLanguage.KANNADA))
+    tamil = set(valid_codes(TaskLanguage.TAMIL))
+    kannada_only, tamil_only = kannada - tamil, tamil - kannada
     seen_kn = False
     seen_tm = False
     for line in text.split("\n"):

@@ -75,11 +75,17 @@ def sweep_configs(
     task: TaskLanguage,
     model_id: str,
     temperatures: list[float] | tuple[float, ...] = SWEEP_TEMPERATURES,
+    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
 ) -> list[ExperimentConfig]:
     """One config per temperature, input order preserved."""
     if not temperatures:
         raise ValueError("temperatures must be non-empty")
     return [
-        ExperimentConfig(task=task, model_id=model_id, temperature=t)
+        ExperimentConfig(
+            task=task,
+            model_id=model_id,
+            temperature=t,
+            max_output_tokens=max_output_tokens,
+        )
         for t in temperatures
     ]

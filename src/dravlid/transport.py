@@ -58,7 +58,7 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.base_delay < 0:
+        if not self.base_delay >= 0:  # also rejects NaN
             raise ValueError("base_delay must be non-negative")
 
     def is_retryable(self, status: int) -> bool:
@@ -79,7 +79,7 @@ class TokenBucket:
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if rate_per_minute <= 0:
+        if not rate_per_minute > 0:  # also rejects NaN
             raise ValueError("rate_per_minute must be positive")
         self._rate_per_second = rate_per_minute / 60.0
         self._capacity = burst if burst is not None else rate_per_minute
@@ -118,6 +118,8 @@ class ChatTransport:
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
+        if not timeout > 0:  # also rejects NaN
+            raise ValueError("timeout must be positive")
         base_url = base_url or os.environ.get(ENV_API_BASE)
         if not base_url:
             raise ValueError(

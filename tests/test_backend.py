@@ -211,6 +211,11 @@ class TestConfiguration:
         with pytest.raises(ValueError, match="LI_API_KEY"):
             ChatTransport(base_url="http://127.0.0.1:9")
 
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+    def test_non_positive_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            ChatTransport(base_url="http://127.0.0.1:9", api_key="k", timeout=timeout)
+
 
 class TestTokenBucket:
     def test_burst_up_to_capacity_without_waiting(self):

@@ -194,6 +194,16 @@ class TestLoadCacheRecords:
             ("this is not json", "not JSON"),
             ("[1, 2]", "not a JSON object"),
             ('{"foo": 1}', "missing field 'cache_key'"),
+            pytest.param(
+                json.dumps({**json.loads(record().to_json_line()), "raw_response": 5}),
+                "field 'raw_response' is int, not a string",
+                id="raw_response-int",
+            ),
+            pytest.param(
+                json.dumps({**json.loads(record().to_json_line()), "temperature": "hot"}),
+                "field 'temperature' is str, not a number",
+                id="temperature-str",
+            ),
         ],
     )
     def test_bad_line_names_file_and_line(self, tmp_path, line, reason):

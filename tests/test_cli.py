@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from dravlid.cache import load_cache_records
+from dravlid.cache import load_cache_records, make_record
 from dravlid.cli import main
 from dravlid.fixtures import replay_fixture_path, smoke_corpus_path
+from dravlid.prompting import DEFAULT_MODEL_ID, render_prompt
 from dravlid.taxonomy import TaskLanguage
 
 from stub_server import StubChatServer
@@ -113,6 +114,31 @@ class TestUsageErrors:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("classify", ["--temperature", "3"], "temperature 3.0 outside"),
+            ("sweep", ["--temperatures", "0.7,5"], "temperature 5.0 outside"),
+            ("classify", ["--max-output-tokens", "0"], "max_output_tokens"),
+            ("sweep", ["--max-output-tokens", "0"], "max_output_tokens"),
+            ("classify", ["--model", ""], "model_id"),
+            ("classify", ["--timeout", "0"], "timeout"),
+            ("classify", ["--timeout", "-1"], "timeout"),
+            ("classify", ["--timeout", "nan"], "timeout"),
+            ("classify", ["--rate-limit", "-5"], "rate_per_minute"),
+            ("classify", ["--rate-limit", "nan"], "rate_per_minute"),
+            ("classify", ["--retry-base-delay", "nan"], "base_delay"),
+        ],
+    )
+    def test_rejected_flag_value(self, capsys, command, flags, message):
+        code = main(
+            [command, KN_SMOKE, "--task", "kn", "--backend", "live",
+             "--base-url", "http://127.0.0.1:9", "--api-key", "k",
+             "--max-attempts", "1", "--retry-base-delay", "0", *flags]
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+
 
 class TestClassify:
     def test_baseline_to_stdout(self, capsys):
@@ -170,6 +196,27 @@ class TestClassify:
         assert code == 2
         bad_line = recorded.count("\n") + 1
         assert f"data error: {replay} line {bad_line}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("raw_response", 5), ("cache_key", None), ("prompt", ["x"]),
+         ("temperature", "0.7"), ("temperature", True)],
+    )
+    def test_replay_field_of_wrong_type_is_data_error(
+        self, tmp_path, capsys, field, value
+    ):
+        first, *rest = Path(KN_REPLAY).read_text(encoding="utf-8").splitlines(True)
+        replay = tmp_path / "replay.jsonl"
+        replay.write_text(
+            json.dumps({**json.loads(first), field: value}) + "\n" + "".join(rest),
+            encoding="utf-8",
+        )
+        code = main(
+            ["classify", KN_SMOKE, "--task", "kn", "--backend", "replay",
+             "--cache", str(replay)]
+        )
+        assert code == 2
+        assert f"data error: {replay} line 1: field {field!r}" in capsys.readouterr().err
 
 
 class TestClassifyLive:
@@ -252,6 +299,18 @@ class TestClassifyLive:
             code = self.classify(corpus, tmp_path / "cache.jsonl", server)
         assert code == 3
         assert "not an object" in capsys.readouterr().err
+
+    def test_cache_field_of_wrong_type_is_data_error(self, tmp_path, capsys):
+        corpus = write_lines(tmp_path / "c.tsv", "hello\ten")
+        hit = make_record(
+            DEFAULT_MODEL_ID, 0.7, render_prompt("hello", TaskLanguage.KANNADA), "en"
+        )
+        cache = tmp_path / "cache.jsonl"
+        write_lines(cache, json.dumps({**json.loads(hit.to_json_line()), "raw_response": 5}))
+        with StubChatServer() as server:
+            assert self.classify(corpus, cache, server) == 2
+            assert server.request_count == 0
+        assert f"{cache} line 1: field 'raw_response'" in capsys.readouterr().err
 
     def test_torn_cache_tail_is_dropped_and_mended(self, tmp_path, caplog):
         cache = tmp_path / "cache.jsonl"
@@ -387,6 +446,20 @@ class TestSweepAndReport:
         table = self.run_sweep(out_dir, capsys)
         assert main(["report", str(out_dir)]) == 0
         assert capsys.readouterr().out == table
+
+    def test_live_sweep_sends_max_output_tokens(self, tmp_path, capsys):
+        corpus = write_lines(tmp_path / "c.tsv", "hello\ten", "mane\tkn")
+        with StubChatServer(scripted_words({"hello": "en", "mane": "kn"})) as server:
+            code = main(
+                ["sweep", corpus, "--task", "kn", "--backend", "live",
+                 "--base-url", server.base_url, "--api-key", "test-key",
+                 "--cache", str(tmp_path / "cache.jsonl"), "--rate-limit", "0",
+                 "--max-output-tokens", "64"]
+            )
+            bodies = list(server.requests)
+        assert code == 0
+        assert len(bodies) == 6  # two words at each of three temperatures
+        assert [body["max_tokens"] for body in bodies] == [64] * 6
 
     def test_custom_temperature_list(self, tmp_path, capsys):
         code = main(
