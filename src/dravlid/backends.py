@@ -41,6 +41,12 @@ class Backend(Protocol):
     ) -> list[RawPrediction]: ...
 
 
+def check_max_workers(max_workers: int) -> int:
+    if max_workers < 1:
+        raise ValueError("max_workers must be at least 1")
+    return max_workers
+
+
 class LiveBackend:
     """Cache-through client for an OpenAI-compatible endpoint."""
 
@@ -52,11 +58,9 @@ class LiveBackend:
         transport: ChatTransport,
         max_workers: int = DEFAULT_MAX_WORKERS,
     ):
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
         self.cache = cache
         self.transport = transport
-        self.max_workers = max_workers
+        self.max_workers = check_max_workers(max_workers)
 
     def classify_words(
         self, words: Sequence[str], config: ExperimentConfig
@@ -86,11 +90,17 @@ class LiveBackend:
             replies = [self._miss(word, prompt, config) for word, prompt in misses]
         answers.update(zip((word for word, _ in misses), replies))
 
+        # One prediction per word for its first occurrence and, if that was
+        # not a cache hit, one marked as a hit shared by its later occurrences.
+        shared: dict[str, RawPrediction] = {}
         results = []
         for word in words:
-            raw_response, from_cache = answers[word]
-            results.append(RawPrediction(word, raw_response, from_cache))
-            answers[word] = (raw_response, True)
+            prediction = shared.get(word)
+            if prediction is None:
+                prediction = shared[word] = RawPrediction(word, *answers[word])
+            elif not prediction.from_cache:
+                prediction = shared[word] = RawPrediction(word, prediction.raw_response, True)
+            results.append(prediction)
         return results
 
     def _miss(self, word: str, prompt: str, config: ExperimentConfig) -> tuple[str, bool]:
@@ -148,9 +158,11 @@ class BaselineBackend:
     def classify_words(
         self, words: Sequence[str], config: ExperimentConfig
     ) -> list[RawPrediction]:
+        """Classify each distinct word once; results come back in input order."""
         task = config.task
         lex = self._lexicons if self._lexicons is not None else default_lexicons(task)
-        return [
-            RawPrediction(word, code_for(classify_baseline(word, task, lex), task), False)
-            for word in words
-        ]
+        predictions = {
+            word: RawPrediction(word, code_for(classify_baseline(word, task, lex), task), False)
+            for word in dict.fromkeys(words)
+        }
+        return list(map(predictions.__getitem__, words))

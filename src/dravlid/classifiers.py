@@ -20,7 +20,14 @@ from dravlid.prompting import (
     DEFAULT_MODEL_ID,
     ExperimentConfig,
 )
-from dravlid.taxonomy import Category, TaskLanguage, code_for, normalize_response, parse_task
+from dravlid.taxonomy import (
+    Category,
+    NormalizationOutcome,
+    TaskLanguage,
+    code_for,
+    normalize_response,
+    parse_task,
+)
 
 FAILURE_POLICIES = ("map_to_other", "strict")
 
@@ -69,34 +76,38 @@ def resolve_predictions(
     """Normalize raw replies into categories under the failure policy.
 
     map_to_other turns unrecognizable replies into Other (flagged); strict
-    raises on the first one, naming the word and the raw reply.
+    raises on the first one in input order, naming the word and the raw
+    reply. Each distinct reply is normalized once, and tokens with the same
+    word, reply and cache flag share one (frozen) WordPrediction.
     """
     check_policy(failure_policy)
+    outcomes: dict[str, NormalizationOutcome] = {}
+    shared: dict[tuple[str, str, bool], WordPrediction] = {}
     resolved = []
     for raw in raws:
-        outcome = normalize_response(raw.raw_response, task)
-        if outcome.ok:
-            assert outcome.category is not None
-            category = outcome.category
-            unparseable = False
-        elif failure_policy == "strict":
-            raise UnparseableResponseError(
-                f"could not map reply for word {raw.word!r} to a category "
-                f"(raw reply: {raw.raw_response!r})"
-            )
-        else:
-            category = Category.OTHER
-            unparseable = True
-        resolved.append(
-            WordPrediction(
+        key = (raw.word, raw.raw_response, raw.from_cache)
+        prediction = shared.get(key)
+        if prediction is None:
+            outcome = outcomes.get(raw.raw_response)
+            if outcome is None:
+                outcome = outcomes[raw.raw_response] = normalize_response(
+                    raw.raw_response, task
+                )
+            if not outcome.ok and failure_policy == "strict":
+                raise UnparseableResponseError(
+                    f"could not map reply for word {raw.word!r} to a category "
+                    f"(raw reply: {raw.raw_response!r})"
+                )
+            category = outcome.category if outcome.ok else Category.OTHER
+            prediction = shared[key] = WordPrediction(
                 word=raw.word,
                 raw_response=raw.raw_response,
                 category=category,
                 category_code=code_for(category, task),
                 from_cache=raw.from_cache,
-                unparseable=unparseable,
+                unparseable=not outcome.ok,
             )
-        )
+        resolved.append(prediction)
     return resolved
 
 

@@ -21,6 +21,7 @@ from dravlid.backends import (
     BaselineBackend,
     LiveBackend,
     ReplayBackend,
+    check_max_workers,
 )
 from dravlid.baseline import lexicons_from_dir
 from dravlid.cache import ResponseCache
@@ -158,19 +159,21 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_backend(args: argparse.Namespace):
-    if args.backend == "baseline":
-        lexicons = lexicons_from_dir(args.lexicon_dir) if args.lexicon_dir else None
-        return BaselineBackend(lexicons=lexicons)
-    if args.backend == "replay":
-        if not args.cache:
-            raise _UsageError(
-                "the replay backend needs --cache pointing at a recorded-response file"
-            )
-        return ReplayBackend.from_jsonl(args.cache)
+def _transport_from_flags(args: argparse.Namespace) -> ChatTransport | None:
+    """Check the backend flags and build the live transport from them.
 
+    Reads no file, so a bad flag value is a usage error before any corpus,
+    cache or replay file is read. None unless the backend is live.
+    """
+    if args.backend == "replay" and not args.cache:
+        raise _UsageError(
+            "the replay backend needs --cache pointing at a recorded-response file"
+        )
+    if args.backend != "live":
+        return None
     with _flag_values():
-        transport = ChatTransport(
+        check_max_workers(args.max_workers)
+        return ChatTransport(
             base_url=args.base_url,
             api_key=args.api_key,
             retry=RetryPolicy(
@@ -179,9 +182,17 @@ def _build_backend(args: argparse.Namespace):
             rate_limiter=TokenBucket(args.rate_limit) if args.rate_limit != 0 else None,
             timeout=args.timeout,
         )
+
+
+def _build_backend(args: argparse.Namespace, transport: ChatTransport | None):
+    """Load the backend's data files; the flags were checked by _transport_from_flags."""
+    if args.backend == "baseline":
+        lexicons = lexicons_from_dir(args.lexicon_dir) if args.lexicon_dir else None
+        return BaselineBackend(lexicons=lexicons)
+    if args.backend == "replay":
+        return ReplayBackend.from_jsonl(args.cache)
     cache = ResponseCache(args.cache, cache_bust=args.cache_bust)
-    with _flag_values():
-        return LiveBackend(cache=cache, transport=transport, max_workers=args.max_workers)
+    return LiveBackend(cache=cache, transport=transport, max_workers=args.max_workers)
 
 
 def _emit_run(result, out: str | None) -> None:
@@ -223,16 +234,17 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    ds, task = _read_corpus_arg(args.corpus, args.task)
     with _flag_values():
         config = ExperimentConfig(
-            task=task,
+            task=parse_task(args.task),
             model_id=args.model,
             temperature=args.temperature,
             max_output_tokens=args.max_output_tokens,
             run_label=args.run_label,
         )
-    backend = _build_backend(args)
+    transport = _transport_from_flags(args)
+    ds, _ = _read_corpus_arg(args.corpus, args.task)
+    backend = _build_backend(args, transport)
     result = run_experiment(ds, config, backend, failure_policy=args.policy)
     _emit_run(result, args.out)
     return EXIT_OK
@@ -269,12 +281,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    ds, task = _read_corpus_arg(args.corpus, args.task)
     with _flag_values():
         configs = sweep_configs(
-            task, args.model, args.temperatures, args.max_output_tokens
+            parse_task(args.task), args.model, args.temperatures, args.max_output_tokens
         )
-    backend = _build_backend(args)
+    transport = _transport_from_flags(args)
+    ds, _ = _read_corpus_arg(args.corpus, args.task)
+    backend = _build_backend(args, transport)
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

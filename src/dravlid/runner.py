@@ -137,42 +137,60 @@ def write_predictions_jsonl(
 
 
 def predictions_to_jsonl(word_predictions: Sequence[WordPrediction]) -> str:
-    lines = [
-        json.dumps(
-            {
-                "word": p.word,
-                "raw_response": p.raw_response,
-                "category_code": p.category_code,
-            },
-            ensure_ascii=False,
-            sort_keys=True,
-        )
-        for p in word_predictions
-    ]
-    return "".join(line + "\n" for line in lines)
+    """One JSON line per prediction; each distinct line is encoded once."""
+    encoded: dict[tuple[str, str, str], str] = {}
+    lines = []
+    for p in word_predictions:
+        key = (p.word, p.raw_response, p.category_code)
+        line = encoded.get(key)
+        if line is None:
+            line = encoded[key] = json.dumps(
+                {
+                    "word": p.word,
+                    "raw_response": p.raw_response,
+                    "category_code": p.category_code,
+                },
+                ensure_ascii=False,
+                sort_keys=True,
+            ) + "\n"
+        lines.append(line)
+    return "".join(lines)
 
 
 def read_predictions_jsonl(path: str | Path, task: TaskLanguage) -> list[dict]:
-    """Load a predictions file; each entry gains a resolved "category"."""
+    """Load a predictions file; each entry gains a resolved "category".
+
+    Each distinct line is decoded once, but every entry is a dict of its own.
+    """
+    decoded: dict[str, tuple[str, str, Category] | None] = {}
     entries = []
     with Path(path).open(encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                word = data["word"]
-                category = parse_gold_label(data["category_code"], task)
-            except (json.JSONDecodeError, KeyError, TypeError, UnknownLabelCodeError) as exc:
-                raise CorpusParseError(
-                    f"bad predictions line: {exc}", line_number=line_number
-                ) from None
-            entries.append(
-                {
-                    "word": word,
-                    "raw_response": data.get("raw_response", ""),
-                    "category": category,
-                }
-            )
+            if line in decoded:
+                fields = decoded[line]
+            else:
+                fields = decoded[line] = _decode_prediction_line(line, line_number, task)
+            if fields is not None:
+                word, raw_response, category = fields
+                entries.append(
+                    {"word": word, "raw_response": raw_response, "category": category}
+                )
     return entries
+
+
+def _decode_prediction_line(
+    line: str, line_number: int, task: TaskLanguage
+) -> tuple[str, str, Category] | None:
+    """(word, raw_response, category) of one predictions line; None if blank."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        data = json.loads(line)
+        word = data["word"]
+        category = parse_gold_label(data["category_code"], task)
+    except (json.JSONDecodeError, KeyError, TypeError, UnknownLabelCodeError) as exc:
+        raise CorpusParseError(
+            f"bad predictions line: {exc}", line_number=line_number
+        ) from None
+    return word, data.get("raw_response", ""), category

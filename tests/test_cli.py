@@ -103,6 +103,36 @@ class TestUsageErrors:
         assert code == 1
         assert "max_workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("classify", ["--backend", "baseline", "--temperature", "3"],
+             "temperature 3.0 outside"),
+            ("sweep", ["--backend", "baseline", "--temperatures", "0.7,5"],
+             "temperature 5.0 outside"),
+            ("classify", ["--backend", "live", "--base-url", "http://127.0.0.1:9",
+                          "--api-key", "k", "--max-workers", "0"], "max_workers"),
+            ("sweep", ["--backend", "live", "--base-url", "http://127.0.0.1:9",
+                       "--api-key", "k", "--max-workers", "0"], "max_workers"),
+        ],
+    )
+    def test_flag_checked_before_corpus_is_read(
+        self, tmp_path, capsys, command, flags, message
+    ):
+        corpus = write_lines(tmp_path / "bad.tsv", "mane\tkn", "hello\tzz")
+        assert main([command, corpus, "--task", "kn", *flags]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_flag_checked_before_cache_is_read(self, tmp_path, capsys):
+        cache = write_lines(tmp_path / "cache.jsonl", "not json", "{}")
+        code = main(
+            ["classify", KN_SMOKE, "--task", "kn", "--backend", "live",
+             "--base-url", "http://127.0.0.1:9", "--api-key", "k",
+             "--cache", cache, "--max-workers", "0"]
+        )
+        assert code == 1
+        assert "max_workers" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert main(["stats", "--help"]) == 0
         assert "usage: dravlid stats" in capsys.readouterr().out

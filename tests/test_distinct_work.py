@@ -1,0 +1,188 @@
+"""Per-word stages do their work once per distinct input.
+
+Corpora repeat a small vocabulary, so the rule baseline, reply
+normalization and the predictions JSONL codec each work once per distinct
+word, reply or line and fan the result back out in token order. These
+tests count that work and check that every per-token output, count and
+error is what one call per token would give.
+"""
+
+import json
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import dravlid.backends
+import dravlid.classifiers
+from dravlid.backends import BaselineBackend, LiveBackend, RawPrediction, ReplayBackend
+from dravlid.baseline import classify_baseline, default_lexicons
+from dravlid.cache import ResponseCache, make_record
+from dravlid.classifiers import WordPrediction, resolve_predictions
+from dravlid.corpus import parse_corpus
+from dravlid.errors import UnparseableResponseError
+from dravlid.prompting import ExperimentConfig, render_prompt
+from dravlid.runner import predictions_to_jsonl, read_predictions_jsonl, run_experiment
+from dravlid.taxonomy import Category, TaskLanguage, code_for
+
+KN = TaskLanguage.KANNADA
+WORDS = ["mane", "hello", "mane", "Bengaluru", "hello", "mane", "123", "illi"]
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name with a wrapper; returns the list of call arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_baseline_classifies_each_distinct_word_once(monkeypatch):
+    calls = counting(monkeypatch, dravlid.backends, "classify_baseline")
+    results = BaselineBackend().classify_words(WORDS, ExperimentConfig(task=KN))
+
+    assert sorted(args[0] for args in calls) == sorted(set(WORDS))
+    lex = default_lexicons(KN)
+    assert results == [
+        RawPrediction(w, code_for(classify_baseline(w, KN, lex), KN), False)
+        for w in WORDS
+    ]
+
+
+def test_resolve_normalizes_each_distinct_reply_once(monkeypatch):
+    raws = [
+        RawPrediction("a", "en", False),
+        RawPrediction("b", "en", True),
+        RawPrediction("a", "en", True),
+        RawPrediction("c", "Kannada.", False),
+        RawPrediction("d", "???", False),
+        RawPrediction("c", "Kannada.", False),
+        RawPrediction("e", "???", True),
+    ]
+    calls = counting(monkeypatch, dravlid.classifiers, "normalize_response")
+    resolved = resolve_predictions(raws, KN)
+
+    assert sorted(args[0] for args in calls) == ["???", "Kannada.", "en"]
+    assert [(p.word, p.raw_response, p.from_cache) for p in resolved] == [
+        (r.word, r.raw_response, r.from_cache) for r in raws
+    ]
+    assert [p.category for p in resolved] == [
+        Category.ENGLISH, Category.ENGLISH, Category.ENGLISH,
+        Category.DRAVIDIAN, Category.OTHER, Category.DRAVIDIAN, Category.OTHER,
+    ]
+    assert [p.unparseable for p in resolved] == [
+        False, False, False, False, True, False, True,
+    ]
+    assert resolved[3] is resolved[5]
+
+
+def test_strict_names_the_first_unparseable_token_after_repeats():
+    raws = [
+        RawPrediction("mane", "kn", False),
+        RawPrediction("mane", "kn", True),
+        RawPrediction("hello", "en", False),
+        RawPrediction("mane", "kn", True),
+        RawPrediction("zzq", "no idea", False),
+        RawPrediction("qqz", "no idea", False),
+    ]
+    with pytest.raises(UnparseableResponseError, match="'zzq'"):
+        resolve_predictions(raws, KN, "strict")
+
+
+class _EchoTransport:
+    """Answers every prompt with "en"; counts the requests."""
+
+    def __init__(self):
+        self.requests = 0
+
+    def complete(self, request):
+        self.requests += 1
+        return "en"
+
+
+class TestManifestCountsTokens:
+    ds = parse_corpus("".join(f"{w}\ten\n" for w in WORDS), KN)
+    config = ExperimentConfig(task=KN, temperature=0.7)
+
+    def test_baseline_has_no_cache_hits(self):
+        manifest = run_experiment(self.ds, self.config, BaselineBackend()).manifest
+        assert manifest.cache_hits == 0
+        assert manifest.token_count == len(WORDS)
+
+    def test_replay_counts_every_token_as_a_hit(self):
+        records = [
+            make_record(self.config.model_id, 0.7, render_prompt(w, KN), "en")
+            for w in set(WORDS)
+        ]
+        manifest = run_experiment(self.ds, self.config, ReplayBackend(records)).manifest
+        assert manifest.cache_hits == len(WORDS)
+
+    def test_live_counts_later_occurrences_of_a_miss_as_hits(self):
+        transport = _EchoTransport()
+        backend = LiveBackend(ResponseCache(None), transport, max_workers=1)
+        manifest = run_experiment(self.ds, self.config, backend).manifest
+        assert transport.requests == len(set(WORDS))
+        assert manifest.cache_hits == len(WORDS) - len(set(WORDS))
+
+
+def reference_jsonl(predictions):
+    return "".join(
+        json.dumps(
+            {"word": p.word, "raw_response": p.raw_response, "category_code": p.category_code},
+            ensure_ascii=False,
+            sort_keys=True,
+        )
+        + "\n"
+        for p in predictions
+    )
+
+
+_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\\n\r\t\x00\x1f\x7f\x85\u2028\u2029'),
+        st.sampled_from("ಮನೆதமிழ்éß"),
+        st.characters(exclude_categories=("Cs",)),
+    ),
+    max_size=12,
+)
+
+
+@st.composite
+def predictions_with_repeats(draw):
+    pool = draw(
+        st.lists(
+            st.builds(
+                lambda word, raw, category, from_cache, unparseable: WordPrediction(
+                    word, raw, category, code_for(category, KN), from_cache, unparseable
+                ),
+                _TEXT.filter(str.strip),
+                _TEXT,
+                st.sampled_from(Category),
+                st.booleans(),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+
+
+@given(predictions=predictions_with_repeats())
+def test_jsonl_round_trip_matches_per_token_reference(predictions, tmp_path_factory):
+    text = predictions_to_jsonl(predictions)
+    assert text == reference_jsonl(predictions)
+
+    path = tmp_path_factory.mktemp("jsonl") / "predictions.jsonl"
+    path.write_text(text, encoding="utf-8")
+    entries = read_predictions_jsonl(path, KN)
+    assert entries == [
+        {"word": p.word, "raw_response": p.raw_response, "category": p.category}
+        for p in predictions
+    ]
+    assert len({id(entry) for entry in entries}) == len(entries)
