@@ -257,11 +257,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError(
             f"prediction count {len(entries)} does not match corpus size {len(ds)}"
         )
-    for position, (entry, token) in enumerate(zip(entries, ds.tokens)):
-        if entry["word"] != token.surface:
+    for position, (entry, surface) in enumerate(zip(entries, ds.surfaces())):
+        if entry["word"] != surface:
             raise ValueError(
                 f"prediction {position} is for {entry['word']!r} but the corpus "
-                f"has {token.surface!r} there"
+                f"has {surface!r} there"
             )
     run_label = args.run_label or Path(args.pred).stem
     report = evaluate_run(
@@ -292,7 +292,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    has_gold = all(token.gold is not None for token in ds.tokens)
+    has_gold = None not in ds.golds
     reports = []
     for result in run_sweep(ds, configs, backend, failure_policy=args.policy):
         label = result.manifest.config.run_label

@@ -4,17 +4,30 @@ File format: one `<word>\\t<code>` or bare `<word>` per line, UTF-8, LF or
 CRLF; a blank line is a sentence boundary; lines starting with `#` are
 comments. Surfaces are never case-folded or trimmed beyond the line
 terminator, so symbol tokens survive byte-exact.
+
+A corpus repeats a small vocabulary, so the parser validates each distinct
+line once and holds the result as columns (surfaces, gold labels, sentence
+breaks); per-token `LabeledToken` objects are built only when a caller asks
+for `Dataset.tokens`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
 from dravlid.errors import CorpusParseError, UnknownLabelCodeError
 from dravlid.taxonomy import Category, TaskLanguage, code_for, parse_gold_label, valid_codes
+
+
+def _check_surface(surface: str) -> None:
+    if not surface or not surface.strip():
+        raise ValueError("token surface must be non-empty")
+    if "\t" in surface or "\n" in surface or "\r" in surface:
+        raise ValueError(f"token surface contains tab or newline: {surface!r}")
 
 
 @dataclass(frozen=True)
@@ -27,42 +40,82 @@ class LabeledToken:
     token_index: int
 
     def __post_init__(self) -> None:
-        if not self.surface or not self.surface.strip():
-            raise ValueError("token surface must be non-empty")
-        if "\t" in self.surface or "\n" in self.surface or "\r" in self.surface:
-            raise ValueError(f"token surface contains tab or newline: {self.surface!r}")
+        _check_surface(self.surface)
         if self.sentence_index < 0 or self.token_index < 0:
             raise ValueError("token indices must be non-negative")
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """An ordered token sequence for one task. Token order is load-bearing."""
+    """An ordered token sequence for one task. Token order is load-bearing.
 
-    task: TaskLanguage
-    tokens: tuple[LabeledToken, ...]
-    source_path: str = "<memory>"
+    Held as columns: `golds` is the gold label of each token (None where
+    unlabeled), `surfaces()` gives the words, and the parser also records
+    one offset per blank line (the number of tokens before it), from which
+    `tokens` derives each token's sentence and token index on first use.
+    Built from `tokens` directly, a Dataset keeps them as given and rejects
+    duplicate positions.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        positions = [(t.sentence_index, t.token_index) for t in self.tokens]
-        if len(set(positions)) != len(positions):
+    def __init__(
+        self,
+        task: TaskLanguage,
+        tokens: Iterable[LabeledToken],
+        source_path: str = "<memory>",
+    ) -> None:
+        tokens = tuple(tokens)
+        positions = {(t.sentence_index, t.token_index) for t in tokens}
+        if len(positions) != len(tokens):
             raise ValueError("duplicate (sentence_index, token_index) in dataset")
+        self.task = task
+        self.source_path = source_path
+        self._surfaces = tuple(t.surface for t in tokens)
+        self.golds = tuple(t.gold for t in tokens)
+        self.tokens = tokens
+
+    @classmethod
+    def _from_columns(
+        cls,
+        task: TaskLanguage,
+        surfaces: tuple[str, ...],
+        golds: tuple[Category | None, ...],
+        breaks: tuple[int, ...],
+        source_path: str,
+    ) -> Dataset:
+        ds = cls.__new__(cls)
+        ds.task = task
+        ds.source_path = source_path
+        ds._surfaces = surfaces
+        ds.golds = golds
+        ds._breaks = breaks
+        return ds
+
+    @cached_property
+    def tokens(self) -> tuple[LabeledToken, ...]:
+        tokens = []
+        start = 0
+        for sentence_index, end in enumerate((*self._breaks, len(self._surfaces))):
+            tokens.extend(
+                LabeledToken(self._surfaces[i], self.golds[i], sentence_index, i - start)
+                for i in range(start, end)
+            )
+            start = end
+        return tuple(tokens)
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self._surfaces)
 
     def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
+        return list(self._surfaces)
 
     def gold_categories(self) -> list[Category]:
         """Gold labels in token order; raises if any token is unlabeled."""
-        missing = [t.surface for t in self.tokens if t.gold is None]
+        missing = self.golds.count(None)
         if missing:
+            first = self._surfaces[self.golds.index(None)]
             raise ValueError(
-                f"{len(missing)} token(s) have no gold label (first: {missing[0]!r})"
+                f"{missing} token(s) have no gold label (first: {first!r})"
             )
-        return [t.gold for t in self.tokens]  # type: ignore[misc]
+        return list(self.golds)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -70,6 +123,41 @@ class DatasetStats:
     total: int
     per_category: dict[Category, int] = field(default_factory=dict)
     unlabeled: int = 0
+
+
+# What _parse_line makes of a line that holds no token.
+_BREAK = "sentence break"
+_COMMENT = "comment"
+
+
+def _parse_line(
+    line: str, task: TaskLanguage, line_number: int
+) -> tuple[str, Category | None] | str:
+    """(surface, gold) of one corpus line, or _BREAK or _COMMENT.
+
+    Raises CorpusParseError naming line_number if the line is malformed.
+    """
+    line = line.rstrip("\n").rstrip("\r")
+    if not line.strip():
+        return _BREAK
+    if line.startswith("#"):
+        return _COMMENT
+
+    fields = line.split("\t")
+    if len(fields) > 2:
+        raise CorpusParseError(
+            f"expected at most 2 tab-separated fields, found {len(fields)}",
+            line_number=line_number,
+        )
+    surface = fields[0]
+    gold: Category | None = None
+    try:
+        if len(fields) == 2:
+            gold = parse_gold_label(fields[1], task)
+        _check_surface(surface)
+    except (UnknownLabelCodeError, ValueError) as exc:
+        raise CorpusParseError(str(exc), line_number=line_number) from None
+    return surface, gold
 
 
 def parse_corpus(
@@ -81,50 +169,31 @@ def parse_corpus(
     line an unlabeled one; a blank line increments the sentence index and
     resets the token index. Raises CorpusParseError with the 1-based line
     number on malformed lines or unknown label codes.
+
+    Each distinct line is parsed once; a bad line raises where it first
+    occurs, which is the first bad line of the file.
     """
     # Split on LF only (the documented format): splitlines() would also
     # break on control characters that are legal inside a surface.
     lines = text.split("\n") if isinstance(text, str) else text
-    tokens: list[LabeledToken] = []
-    sentence_index = 0
-    token_index = 0
+    parsed: dict[str, tuple[str, Category | None] | str] = {}
+    surfaces: list[str] = []
+    golds: list[Category | None] = []
+    breaks: list[int] = []
 
     for line_number, line in enumerate(lines, start=1):
-        line = line.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            sentence_index += 1
-            token_index = 0
-            continue
-        if line.startswith("#"):
-            continue
+        entry = parsed.get(line)
+        if entry is None:
+            entry = parsed[line] = _parse_line(line, task, line_number)
+        if entry is _BREAK:
+            breaks.append(len(surfaces))
+        elif entry is not _COMMENT:
+            surfaces.append(entry[0])
+            golds.append(entry[1])
 
-        fields = line.split("\t")
-        if len(fields) > 2:
-            raise CorpusParseError(
-                f"expected at most 2 tab-separated fields, found {len(fields)}",
-                line_number=line_number,
-            )
-        surface = fields[0]
-        gold: Category | None = None
-        if len(fields) == 2:
-            try:
-                gold = parse_gold_label(fields[1], task)
-            except UnknownLabelCodeError as exc:
-                raise CorpusParseError(str(exc), line_number=line_number) from None
-        try:
-            tokens.append(
-                LabeledToken(
-                    surface=surface,
-                    gold=gold,
-                    sentence_index=sentence_index,
-                    token_index=token_index,
-                )
-            )
-        except ValueError as exc:
-            raise CorpusParseError(str(exc), line_number=line_number) from None
-        token_index += 1
-
-    return Dataset(task=task, tokens=tuple(tokens), source_path=source_path)
+    return Dataset._from_columns(
+        task, tuple(surfaces), tuple(golds), tuple(breaks), source_path
+    )
 
 
 def parse_corpus_file(path: str | Path, task: TaskLanguage) -> Dataset:
@@ -161,14 +230,14 @@ def detect_task(text: str) -> TaskLanguage:
     Only `kn`/`mixed` vs `tm`/`tmen` disambiguate; the remaining codes are
     shared. A file using codes from both tasks is an error; a file using
     only shared codes defaults to Kannada, where the stats are identical
-    under either reading.
+    under either reading. Each distinct line is looked at once.
     """
     kannada = set(valid_codes(TaskLanguage.KANNADA))
     tamil = set(valid_codes(TaskLanguage.TAMIL))
     kannada_only, tamil_only = kannada - tamil, tamil - kannada
     seen_kn = False
     seen_tm = False
-    for line in text.split("\n"):
+    for line in set(text.split("\n")):
         line = line.rstrip("\r")
         if not line.strip() or line.startswith("#"):
             continue
@@ -187,12 +256,7 @@ def detect_task(text: str) -> TaskLanguage:
 
 def compute_stats(ds: Dataset) -> DatasetStats:
     """Exact per-category and unlabeled counts; total equals len(ds)."""
-    counts: Counter[Category] = Counter()
-    unlabeled = 0
-    for token in ds.tokens:
-        if token.gold is None:
-            unlabeled += 1
-        else:
-            counts[token.gold] += 1
+    counts: Counter[Category | None] = Counter(ds.golds)
+    unlabeled = counts.pop(None, 0)
     per_category = {cat: counts.get(cat, 0) for cat in Category}
-    return DatasetStats(total=len(ds.tokens), per_category=per_category, unlabeled=unlabeled)
+    return DatasetStats(total=len(ds), per_category=per_category, unlabeled=unlabeled)

@@ -9,6 +9,7 @@ rounds to 4 decimals.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -78,13 +79,18 @@ def build_confusion(
     labels: Sequence[Category] | None = None,
 ) -> ConfusionMatrix:
     """Tally a confusion matrix; labels default to the observed categories
-    in canonical taxonomy order."""
+    in canonical taxonomy order.
+
+    The (gold, pred) pairs are counted in one pass; the cells and the
+    observed label set come from the few distinct pairs.
+    """
     if len(gold) != len(pred):
         raise ValueError(f"gold has {len(gold)} items but pred has {len(pred)}")
     if not gold:
         raise ValueError("cannot build a confusion matrix from empty sequences")
 
-    observed = set(gold) | set(pred)
+    pairs = Counter(zip(gold, pred))
+    observed = {cat for pair in pairs for cat in pair}
     if labels is None:
         label_tuple = tuple(cat for cat in Category if cat in observed)
     else:
@@ -97,8 +103,8 @@ def build_confusion(
     index = {cat: i for i, cat in enumerate(label_tuple)}
     size = len(label_tuple)
     cells = [[0] * size for _ in range(size)]
-    for g, p in zip(gold, pred):
-        cells[index[g]][index[p]] += 1
+    for (g, p), count in pairs.items():
+        cells[index[g]][index[p]] = count
 
     return ConfusionMatrix(
         labels=label_tuple,

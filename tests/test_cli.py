@@ -12,8 +12,8 @@ import pytest
 
 from dravlid.cache import load_cache_records, make_record
 from dravlid.cli import main
-from dravlid.fixtures import replay_fixture_path, smoke_corpus_path
-from dravlid.prompting import DEFAULT_MODEL_ID, render_prompt
+from dravlid.fixtures import golden_report_path, replay_fixture_path, smoke_corpus_path
+from dravlid.prompting import DEFAULT_MODEL_ID, ExperimentConfig, render_prompt
 from dravlid.taxonomy import TaskLanguage
 
 from stub_server import StubChatServer
@@ -54,6 +54,20 @@ class TestStats:
         assert payload["total"] == 30
         assert len(payload["per_category"]) == 7
         assert sum(payload["per_category"].values()) == 30
+
+    @pytest.mark.parametrize("corpus, task", [(KN_SMOKE, "kannada"), (TM_SMOKE, "tamil")])
+    def test_json_counts_of_smoke_corpora(self, capsys, corpus, task):
+        assert main(["stats", corpus, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "corpus": corpus,
+            "task": task,
+            "total": 30,
+            "unlabeled": 0,
+            "per_category": {
+                "English": 5, "Dravidian": 5, "Mixed": 4, "Name": 4,
+                "Location": 4, "Symbol": 4, "Other": 4,
+            },
+        }
 
     def test_missing_file_is_data_error(self, capsys):
         assert main(["stats", "/nonexistent/corpus.tsv"]) == 2
@@ -448,6 +462,20 @@ class TestEvaluate:
             '{"word": "b", "raw_response": "en", "category_code": "en"}',
         )
         assert main(["evaluate", "--gold", gold, "--pred", pred]) == 2
+
+
+@pytest.mark.parametrize("task", [TaskLanguage.KANNADA, TaskLanguage.TAMIL])
+def test_replay_classify_then_evaluate_reproduces_golden_report(tmp_path, capsys, task):
+    corpus = str(smoke_corpus_path(task))
+    preds = str(tmp_path / "p.jsonl")
+    assert main(["classify", corpus, "--task", task.value, "--backend", "replay",
+                 "--cache", str(replay_fixture_path(task)), "--temperature", "0.7",
+                 "--out", preds]) == 0
+    capsys.readouterr()
+    run_label = ExperimentConfig(task=task, temperature=0.7).run_label
+    assert main(["evaluate", "--gold", corpus, "--pred", preds,
+                 "--run-label", run_label]) == 0
+    assert capsys.readouterr().out == golden_report_path(task).read_text(encoding="utf-8")
 
 
 class TestSweepAndReport:

@@ -68,6 +68,24 @@ class TestParsing:
             parse_corpus("veedu\ttm\n", KN)
         assert parse_corpus("veedu\ttm\n", TM).tokens[0].gold is Category.DRAVIDIAN
 
+    @pytest.mark.parametrize("bad", ["bad\ten\textra", "bad\tzz"])
+    def test_repeated_malformed_line_reports_its_first_occurrence(self, bad):
+        lines = ["a\ten", "b\ten", bad, "a\ten", "", "c\tkn", bad]
+        with pytest.raises(CorpusParseError) as excinfo:
+            parse_corpus("\n".join(lines) + "\n", KN)
+        assert excinfo.value.line_number == 3
+        assert "line 3" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("a\rb\ten", "tab or newline"), ("  \ten", "non-empty"), ("\tkn", "non-empty")],
+    )
+    def test_bad_surface_rejected_with_line_number(self, line, message):
+        with pytest.raises(CorpusParseError, match=message) as excinfo:
+            parse_corpus(f"ok\ten\n\n{line}\n", KN)
+        assert excinfo.value.line_number == 3
+        assert "line 3" in str(excinfo.value)
+
     def test_whitespace_only_line_is_sentence_break(self):
         ds = parse_corpus("a\ten\n   \nb\ten\n", KN)
         assert ds.tokens[1].sentence_index == 1

@@ -1,10 +1,10 @@
 """Per-word stages do their work once per distinct input.
 
-Corpora repeat a small vocabulary, so the rule baseline, reply
-normalization and the predictions JSONL codec each work once per distinct
-word, reply or line and fan the result back out in token order. These
-tests count that work and check that every per-token output, count and
-error is what one call per token would give.
+Corpora repeat a small vocabulary, so the corpus parser, the rule
+baseline, reply normalization and the predictions JSONL codec each work
+once per distinct line, word or reply and fan the result back out in token
+order. These tests count that work and check that every per-token output,
+count and error is what one call per token would give.
 """
 
 import json
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import dravlid.backends
 import dravlid.classifiers
+import dravlid.corpus
 from dravlid.backends import BaselineBackend, LiveBackend, RawPrediction, ReplayBackend
 from dravlid.baseline import classify_baseline, default_lexicons
 from dravlid.cache import ResponseCache, make_record
@@ -23,7 +24,7 @@ from dravlid.corpus import parse_corpus
 from dravlid.errors import UnparseableResponseError
 from dravlid.prompting import ExperimentConfig, render_prompt
 from dravlid.runner import predictions_to_jsonl, read_predictions_jsonl, run_experiment
-from dravlid.taxonomy import Category, TaskLanguage, code_for
+from dravlid.taxonomy import Category, TaskLanguage, code_for, parse_gold_label, valid_codes
 
 KN = TaskLanguage.KANNADA
 WORDS = ["mane", "hello", "mane", "Bengaluru", "hello", "mane", "123", "illi"]
@@ -52,6 +53,73 @@ def test_baseline_classifies_each_distinct_word_once(monkeypatch):
         RawPrediction(w, code_for(classify_baseline(w, KN, lex), KN), False)
         for w in WORDS
     ]
+
+
+def test_parse_maps_each_distinct_labelled_line_once(monkeypatch):
+    lines = ["mane\tkn", "hello\ten", "", "mane\tkn", "# note", "mane", "mane\ten",
+             "hello\ten", "", "mane\tkn"]
+    calls = counting(monkeypatch, dravlid.corpus, "parse_gold_label")
+    ds = parse_corpus("\n".join(lines) + "\n", KN)
+
+    assert sorted(args[0] for args in calls) == ["en", "en", "kn"]
+    assert len(ds) == 7
+    assert ds.golds == (
+        Category.DRAVIDIAN, Category.ENGLISH, Category.DRAVIDIAN, None,
+        Category.ENGLISH, Category.ENGLISH, Category.DRAVIDIAN,
+    )
+
+
+def reference_parse(text, task):
+    """(surface, gold, sentence_index, token_index) per token, one line at a time."""
+    rows = []
+    sentence_index = token_index = 0
+    for line in text.split("\n"):
+        line = line.rstrip("\r")
+        if not line.strip():
+            sentence_index += 1
+            token_index = 0
+        elif not line.startswith("#"):
+            fields = line.split("\t")
+            gold = parse_gold_label(fields[1], task) if len(fields) == 2 else None
+            rows.append((fields[0], gold, sentence_index, token_index))
+            token_index += 1
+    return rows
+
+
+_CORPUS_LINE = st.one_of(
+    st.sampled_from(["", " ", "\t", " \t  "]),  # blank and whitespace-only
+    st.text(alphabet=st.characters(exclude_characters="\n"), max_size=6).map(
+        lambda rest: "#" + rest
+    ),
+    st.builds(
+        lambda surface, code: surface if code is None else f"{surface}\t{code}",
+        st.text(
+            alphabet=st.characters(codec="utf-8", exclude_characters="\t\n\r"),
+            min_size=1,
+            max_size=8,
+        ).filter(lambda w: w.strip() and not w.startswith("#")),
+        st.sampled_from([*valid_codes(KN), "EN", " kn ", None]),
+    ),
+)
+
+
+@given(
+    pool=st.lists(_CORPUS_LINE, min_size=1, max_size=6),
+    picks=st.lists(st.tuples(st.integers(0, 5), st.booleans()), max_size=50),
+)
+def test_columnar_parse_matches_per_line_reference(pool, picks):
+    text = "".join(
+        pool[i % len(pool)] + ("\r\n" if crlf else "\n") for i, crlf in picks
+    )
+    ds = parse_corpus(text, KN)
+    expected = reference_parse(text, KN)
+
+    assert [
+        (t.surface, t.gold, t.sentence_index, t.token_index) for t in ds.tokens
+    ] == expected
+    assert len(ds) == len(expected)
+    assert ds.surfaces() == [row[0] for row in expected]
+    assert list(ds.golds) == [row[1] for row in expected]
 
 
 def test_resolve_normalizes_each_distinct_reply_once(monkeypatch):
