@@ -252,23 +252,21 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     ds, task = _read_corpus_arg(args.gold, args.task)
-    entries = read_predictions_jsonl(args.pred, task)
-    if len(entries) != len(ds):
-        raise ValueError(
-            f"prediction count {len(entries)} does not match corpus size {len(ds)}"
-        )
-    for position, (entry, surface) in enumerate(zip(entries, ds.surfaces())):
-        if entry["word"] != surface:
+    words, categories = read_predictions_jsonl(args.pred, task)
+    surfaces = ds.surfaces()
+    if words != surfaces:
+        if len(words) != len(surfaces):
             raise ValueError(
-                f"prediction {position} is for {entry['word']!r} but the corpus "
-                f"has {surface!r} there"
+                f"prediction count {len(words)} does not match corpus size {len(ds)}"
             )
+        position = next(i for i, (w, s) in enumerate(zip(words, surfaces)) if w != s)
+        raise ValueError(
+            f"prediction {position} is for {words[position]!r} but the corpus "
+            f"has {surfaces[position]!r} there"
+        )
     run_label = args.run_label or Path(args.pred).stem
     report = evaluate_run(
-        ds,
-        [entry["category"] for entry in entries],
-        run_label=run_label,
-        macro_convention=args.macro,
+        ds, categories, run_label=run_label, macro_convention=args.macro
     )
     rendered = (
         report_to_json(report) if args.format == "json" else report_to_markdown(report)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from dravlid.taxonomy import Category
@@ -25,6 +26,8 @@ REPORT_ROWS = (
     ("Weighted Recall", "weighted_recall"),
     ("Accuracy", "accuracy"),
 )
+
+_member_name = attrgetter("_name_")
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,10 @@ def build_confusion(
     if not gold:
         raise ValueError("cannot build a confusion matrix from empty sequences")
 
-    pairs = Counter(zip(gold, pred))
+    # Counting member names hashes str in C; counting members would call
+    # the Python-level Enum.__hash__ twice per token.
+    name_pairs = Counter(zip(map(_member_name, gold), map(_member_name, pred)))
+    pairs = {(Category[g], Category[p]): count for (g, p), count in name_pairs.items()}
     observed = {cat for pair in pairs for cat in pair}
     if labels is None:
         label_tuple = tuple(cat for cat in Category if cat in observed)

@@ -20,6 +20,13 @@ from dravlid.metrics import MetricReport, evaluate
 from dravlid.prompting import ExperimentConfig
 from dravlid.taxonomy import Category, TaskLanguage, parse_gold_label
 
+# Sorted keys, json.dumps's default separators; each %s takes an encoded string.
+_LINE_TEMPLATE = '{"category_code": %s, "raw_response": %s, "word": %s}\n'
+# The C string encoder behind json.dumps(ensure_ascii=False).
+_encode_string = json.encoder.encode_basestring
+# json.loads minus its whitespace skipping, for an already stripped line.
+_raw_decode = json.JSONDecoder().raw_decode
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -137,60 +144,70 @@ def write_predictions_jsonl(
 
 
 def predictions_to_jsonl(word_predictions: Sequence[WordPrediction]) -> str:
-    """One JSON line per prediction; each distinct line is encoded once."""
+    """One JSON line per prediction; each distinct line is encoded once.
+
+    The bytes equal `json.dumps(..., ensure_ascii=False, sort_keys=True)` of
+    the three-key object: the keys are filled into a fixed sorted template
+    with the string encoder `json.dumps` itself uses.
+    """
     encoded: dict[tuple[str, str, str], str] = {}
     lines = []
     for p in word_predictions:
         key = (p.word, p.raw_response, p.category_code)
         line = encoded.get(key)
         if line is None:
-            line = encoded[key] = json.dumps(
-                {
-                    "word": p.word,
-                    "raw_response": p.raw_response,
-                    "category_code": p.category_code,
-                },
-                ensure_ascii=False,
-                sort_keys=True,
-            ) + "\n"
+            line = encoded[key] = _LINE_TEMPLATE % (
+                _encode_string(p.category_code),
+                _encode_string(p.raw_response),
+                _encode_string(p.word),
+            )
         lines.append(line)
     return "".join(lines)
 
 
-def read_predictions_jsonl(path: str | Path, task: TaskLanguage) -> list[dict]:
-    """Load a predictions file; each entry gains a resolved "category".
+def read_predictions_jsonl(
+    path: str | Path, task: TaskLanguage
+) -> tuple[list[str], list[Category]]:
+    """Load a predictions file as two columns: words and their categories.
 
-    Each distinct line is decoded once, but every entry is a dict of its own.
+    Blank lines are skipped. Each distinct line is decoded once, and a bad
+    line is a CorpusParseError naming its first occurrence.
     """
-    decoded: dict[str, tuple[str, str, Category] | None] = {}
-    entries = []
+    decoded: dict[str, tuple[str, Category] | None] = {}
+    words: list[str] = []
+    categories: list[Category] = []
     with Path(path).open(encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
-            if line in decoded:
-                fields = decoded[line]
-            else:
+            fields = decoded.get(line)
+            if fields is None:
                 fields = decoded[line] = _decode_prediction_line(line, line_number, task)
-            if fields is not None:
-                word, raw_response, category = fields
-                entries.append(
-                    {"word": word, "raw_response": raw_response, "category": category}
-                )
-    return entries
+                if fields is None:
+                    continue
+            words.append(fields[0])
+            categories.append(fields[1])
+    return words, categories
 
 
 def _decode_prediction_line(
     line: str, line_number: int, task: TaskLanguage
-) -> tuple[str, str, Category] | None:
-    """(word, raw_response, category) of one predictions line; None if blank."""
+) -> tuple[str, Category] | None:
+    """(word, category) of one predictions line; None if blank."""
     line = line.strip()
     if not line:
         return None
     try:
-        data = json.loads(line)
-        word = data["word"]
-        category = parse_gold_label(data["category_code"], task)
+        data, end = _raw_decode(line)
+        if end != len(line):
+            raise json.JSONDecodeError("Extra data", line, end)
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+        word, code = data["word"], data["category_code"]
+        if not isinstance(word, str):
+            raise TypeError(f"word must be a string, got {word!r}")
+        if not isinstance(code, str):
+            raise TypeError(f"category_code must be a string, got {code!r}")
+        return word, parse_gold_label(code, task)
     except (json.JSONDecodeError, KeyError, TypeError, UnknownLabelCodeError) as exc:
         raise CorpusParseError(
             f"bad predictions line: {exc}", line_number=line_number
         ) from None
-    return word, data.get("raw_response", ""), category

@@ -449,6 +449,38 @@ class TestEvaluate:
         assert main(["evaluate", "--gold", gold, "--pred", pred]) == 2
         assert "'x'" in capsys.readouterr().err
 
+    def test_misalignment_names_position_prediction_and_surface(self, tmp_path, capsys):
+        gold = write_lines(tmp_path / "g.tsv", "a\ten", "b\ten", "c\ten")
+        pred = write_lines(
+            tmp_path / "p.jsonl",
+            '{"word": "a", "raw_response": "en", "category_code": "en"}',
+            '{"word": "b", "raw_response": "en", "category_code": "en"}',
+            '{"word": "x", "raw_response": "en", "category_code": "en"}',
+        )
+        assert main(["evaluate", "--gold", gold, "--pred", pred]) == 2
+        assert "prediction 2 is for 'x' but the corpus has 'c' there" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"word": "b", "raw_response": "en", "category_code": 5}',
+            '{"word": "b", "raw_response": "en", "category_code": null}',
+            '{"word": 5, "raw_response": "en", "category_code": "en"}',
+            '["b", "en"]',
+        ],
+    )
+    def test_field_of_wrong_type_is_data_error(self, tmp_path, capsys, bad_line):
+        gold = write_lines(tmp_path / "g.tsv", "a\ten", "b\ten")
+        pred = write_lines(
+            tmp_path / "p.jsonl",
+            '{"word": "a", "raw_response": "en", "category_code": "en"}',
+            bad_line,
+        )
+        assert main(["evaluate", "--gold", gold, "--pred", pred]) == 2
+        assert "data error: line 2: bad predictions line" in capsys.readouterr().err
+
     def test_malformed_predictions_are_data_errors(self, tmp_path):
         gold = write_lines(tmp_path / "g.tsv", "a\ten")
         pred = write_lines(tmp_path / "p.jsonl", "not json at all")

@@ -206,10 +206,11 @@ class TestPredictionsFile:
         result = run_experiment(ds, config, backend)
         path = tmp_path / "preds.jsonl"
         write_predictions_jsonl(result.word_predictions, path)
-        entries = read_predictions_jsonl(path, KN)
-        assert [e["word"] for e in entries] == ["a", "b", "c"]
-        assert [e["category"] for e in entries] == list(result.predictions)
-        assert entries[2]["raw_response"] == "???"
+        words, categories = read_predictions_jsonl(path, KN)
+        assert words == ["a", "b", "c"]
+        assert categories == list(result.predictions)
+        last_line = path.read_text(encoding="utf-8").splitlines()[2]
+        assert json.loads(last_line)["raw_response"] == "???"
 
     def test_jsonl_lines_have_contract_keys(self):
         ds, config, backend = three_token_setup()
@@ -221,6 +222,35 @@ class TestPredictionsFile:
         path = tmp_path / "preds.jsonl"
         path.write_text('{"word": "a", "category_code": "en"}\nnot json\n')
         with pytest.raises(CorpusParseError, match="line 2"):
+            read_predictions_jsonl(path, KN)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text(
+            '{"word": "a", "category_code": "en"}\n'
+            "\n"
+            "   \n"
+            '{"word": "b", "category_code": "kn"}\n'
+            "\n"
+            "\n"
+        )
+        words, categories = read_predictions_jsonl(path, KN)
+        assert words == ["a", "b"]
+        assert categories == [Category.ENGLISH, Category.DRAVIDIAN]
+
+    def test_repeated_bad_line_reports_its_first_occurrence(self, tmp_path):
+        good = '{"word": "a", "category_code": "en"}\n'
+        bad = '{"word": "a", "category_code": "zz"}\n'
+        path = tmp_path / "preds.jsonl"
+        path.write_text(good + bad + good + good + bad)
+        with pytest.raises(CorpusParseError, match="line 2") as excinfo:
+            read_predictions_jsonl(path, KN)
+        assert excinfo.value.line_number == 2
+
+    def test_trailing_data_after_the_object_rejected(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text('{"word": "a", "category_code": "en"} {}\n')
+        with pytest.raises(CorpusParseError, match="line 1: .*Extra data"):
             read_predictions_jsonl(path, KN)
 
     def test_foreign_code_rejected(self, tmp_path):
