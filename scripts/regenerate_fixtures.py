@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from dravlid.backends import ReplayBackend
-from dravlid.cache import CacheRecord, cache_key
+from dravlid.cache import make_record
 from dravlid.corpus import compute_stats, parse_corpus
 from dravlid.fixtures import (
     golden_report_path,
@@ -129,13 +129,8 @@ def build_replay_lines(rows, task: TaskLanguage) -> tuple[list[str], dict]:
                 if raw.startswith("The word is in ") and gold_code in ("kn", "tm"):
                     dravidian_name_sentence = True
             prompt = render_prompt(word, task)
-            record = CacheRecord(
-                cache_key=cache_key(DEFAULT_MODEL_ID, temperature, prompt),
-                model_id=DEFAULT_MODEL_ID,
-                temperature=temperature,
-                prompt=prompt,
-                raw_response=raw,
-                created_at=FIXED_TIMESTAMP,
+            record = make_record(
+                DEFAULT_MODEL_ID, temperature, prompt, raw, created_at=FIXED_TIMESTAMP
             )
             lines.append(record.to_json_line())
     audit = {

@@ -26,7 +26,7 @@ from dravlid.backends import (
 from dravlid.baseline import lexicons_from_dir
 from dravlid.cache import ResponseCache
 from dravlid.classifiers import FAILURE_POLICIES
-from dravlid.corpus import compute_stats, detect_task, parse_corpus
+from dravlid.corpus import Dataset, compute_stats, detect_task, parse_corpus
 from dravlid.errors import DravlidError, ResponseFormatError, TransportError
 from dravlid.metrics import (
     REPORT_ROWS,
@@ -95,10 +95,10 @@ def _temperature_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _read_corpus_arg(path: str, task_flag: str | None):
+def _read_corpus_arg(path: str, task_flag: str | None) -> Dataset:
     text = Path(path).read_text(encoding="utf-8")
     task = parse_task(task_flag) if task_flag else detect_task(text)
-    return parse_corpus(text, task, source_path=path), task
+    return parse_corpus(text, task, source_path=path)
 
 
 def _add_task_flag(parser: argparse.ArgumentParser, required: bool) -> None:
@@ -210,12 +210,12 @@ def _emit_run(result, out: str | None) -> None:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    ds, task = _read_corpus_arg(args.corpus, args.task)
+    ds = _read_corpus_arg(args.corpus, args.task)
     stats = compute_stats(ds)
     if args.format == "json":
         payload = {
             "corpus": args.corpus,
-            "task": task.value,
+            "task": ds.task.value,
             "total": stats.total,
             "unlabeled": stats.unlabeled,
             "per_category": {
@@ -225,7 +225,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(f"corpus: {args.corpus}")
-        print(f"task: {task.value}")
+        print(f"task: {ds.task.value}")
         print(f"tokens: {stats.total}")
         for cat in Category:
             print(f"  {cat.value:<10} {stats.per_category[cat]}")
@@ -243,7 +243,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             run_label=args.run_label,
         )
     transport = _transport_from_flags(args)
-    ds, _ = _read_corpus_arg(args.corpus, args.task)
+    ds = _read_corpus_arg(args.corpus, args.task)
     backend = _build_backend(args, transport)
     result = run_experiment(ds, config, backend, failure_policy=args.policy)
     _emit_run(result, args.out)
@@ -251,8 +251,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    ds, task = _read_corpus_arg(args.gold, args.task)
-    words, categories = read_predictions_jsonl(args.pred, task)
+    ds = _read_corpus_arg(args.gold, args.task)
+    words, categories = read_predictions_jsonl(args.pred, ds.task)
     surfaces = ds.surfaces()
     if words != surfaces:
         if len(words) != len(surfaces):
@@ -284,7 +284,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             parse_task(args.task), args.model, args.temperatures, args.max_output_tokens
         )
     transport = _transport_from_flags(args)
-    ds, _ = _read_corpus_arg(args.corpus, args.task)
+    ds = _read_corpus_arg(args.corpus, args.task)
     backend = _build_backend(args, transport)
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir is not None:
@@ -326,9 +326,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     dicts = []
     for path in paths:
         data = json.loads(path.read_text(encoding="utf-8"))
-        missing = [key for _, key in REPORT_ROWS if key not in data]
-        if missing:
-            raise ValueError(f"{path} is missing metric keys: {', '.join(missing)}")
+        if not isinstance(data, dict):
+            raise ValueError(f"{path} does not hold a JSON object")
+        if not isinstance(data.get("run_label"), (str, type(None))):
+            raise ValueError(f"{path} has a run_label that is not a string")
+        # type() rather than isinstance(), so that true and false are refused.
+        bad = [key for _, key in REPORT_ROWS if type(data.get(key)) not in (int, float)]
+        if bad:
+            raise ValueError(f"{path} has no numeric value for: {', '.join(bad)}")
         dicts.append(data)
     sys.stdout.write(report_dicts_to_markdown(dicts))
     return EXIT_OK

@@ -6,9 +6,9 @@ comments. Surfaces are never case-folded or trimmed beyond the line
 terminator, so symbol tokens survive byte-exact.
 
 A corpus repeats a small vocabulary, so the parser validates each distinct
-line once and holds the result as columns (surfaces, gold labels, sentence
-breaks); per-token `LabeledToken` objects are built only when a caller asks
-for `Dataset.tokens`.
+line once and builds the Dataset from columns (surfaces, gold labels,
+sentence breaks). `Dataset.tokens` is a per-token view of those columns;
+nothing in the library builds it.
 """
 
 from __future__ import annotations
@@ -39,61 +39,38 @@ class LabeledToken:
     sentence_index: int
     token_index: int
 
-    def __post_init__(self) -> None:
-        _check_surface(self.surface)
-        if self.sentence_index < 0 or self.token_index < 0:
-            raise ValueError("token indices must be non-negative")
-
 
 class Dataset:
     """An ordered token sequence for one task. Token order is load-bearing.
 
-    Held as columns: `golds` is the gold label of each token (None where
-    unlabeled), `surfaces()` gives the words, and the parser also records
-    one offset per blank line (the number of tokens before it), from which
-    `tokens` derives each token's sentence and token index on first use.
-    Built from `tokens` directly, a Dataset keeps them as given and rejects
-    duplicate positions.
+    Held as columns: `surfaces()` gives the words and `golds` the gold label
+    of each (None where unlabeled). `breaks` holds one offset per blank line,
+    the number of tokens before it, so runs of blank lines are kept. `tokens`
+    is a per-token view that derives each token's sentence and token index
+    from the breaks on first use; nothing in the library builds it.
     """
 
     def __init__(
         self,
         task: TaskLanguage,
-        tokens: Iterable[LabeledToken],
+        surfaces: Iterable[str],
+        golds: Iterable[Category | None],
+        breaks: Iterable[int] = (),
         source_path: str = "<memory>",
     ) -> None:
-        tokens = tuple(tokens)
-        positions = {(t.sentence_index, t.token_index) for t in tokens}
-        if len(positions) != len(tokens):
-            raise ValueError("duplicate (sentence_index, token_index) in dataset")
         self.task = task
+        self._surfaces = tuple(surfaces)
+        self.golds = tuple(golds)
+        self.breaks = tuple(breaks)
         self.source_path = source_path
-        self._surfaces = tuple(t.surface for t in tokens)
-        self.golds = tuple(t.gold for t in tokens)
-        self.tokens = tokens
-
-    @classmethod
-    def _from_columns(
-        cls,
-        task: TaskLanguage,
-        surfaces: tuple[str, ...],
-        golds: tuple[Category | None, ...],
-        breaks: tuple[int, ...],
-        source_path: str,
-    ) -> Dataset:
-        ds = cls.__new__(cls)
-        ds.task = task
-        ds.source_path = source_path
-        ds._surfaces = surfaces
-        ds.golds = golds
-        ds._breaks = breaks
-        return ds
+        if len(self.golds) != len(self._surfaces):
+            raise ValueError("surfaces and golds differ in length")
 
     @cached_property
     def tokens(self) -> tuple[LabeledToken, ...]:
         tokens = []
         start = 0
-        for sentence_index, end in enumerate((*self._breaks, len(self._surfaces))):
+        for sentence_index, end in enumerate((*self.breaks, len(self._surfaces))):
             tokens.extend(
                 LabeledToken(self._surfaces[i], self.golds[i], sentence_index, i - start)
                 for i in range(start, end)
@@ -191,9 +168,7 @@ def parse_corpus(
             surfaces.append(entry[0])
             golds.append(entry[1])
 
-    return Dataset._from_columns(
-        task, tuple(surfaces), tuple(golds), tuple(breaks), source_path
-    )
+    return Dataset(task, surfaces, golds, breaks, source_path)
 
 
 def parse_corpus_file(path: str | Path, task: TaskLanguage) -> Dataset:
@@ -206,18 +181,15 @@ def parse_corpus_file(path: str | Path, task: TaskLanguage) -> Dataset:
 def serialize_corpus(ds: Dataset) -> str:
     """Render a Dataset in the tab-separated format.
 
-    Emits one blank line per sentence-index step so that re-parsing yields
-    an identical token sequence, including runs of consecutive blanks.
+    Writes one blank line per sentence break before the token it precedes,
+    so that re-parsing yields an identical token sequence, runs of blanks
+    included. Breaks after the last token write nothing.
     """
+    breaks = Counter(ds.breaks)
     lines: list[str] = []
-    current_sentence = 0
-    for token in ds.tokens:
-        lines.extend("" for _ in range(token.sentence_index - current_sentence))
-        current_sentence = token.sentence_index
-        if token.gold is None:
-            lines.append(token.surface)
-        else:
-            lines.append(f"{token.surface}\t{code_for(token.gold, ds.task)}")
+    for i, (surface, gold) in enumerate(zip(ds._surfaces, ds.golds)):
+        lines.extend([""] * breaks[i])
+        lines.append(surface if gold is None else f"{surface}\t{code_for(gold, ds.task)}")
     text = "\n".join(lines)
     if lines:
         text += "\n"

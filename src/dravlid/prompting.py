@@ -77,10 +77,14 @@ def sweep_configs(
     temperatures: list[float] | tuple[float, ...] = SWEEP_TEMPERATURES,
     max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS,
 ) -> list[ExperimentConfig]:
-    """One config per temperature, input order preserved."""
+    """One config per temperature, input order preserved.
+
+    Temperatures are compared as floats, so 1 and 1.0 are one temperature
+    and may not both be given: the runs would share a label and output files.
+    """
     if not temperatures:
         raise ValueError("temperatures must be non-empty")
-    return [
+    configs = [
         ExperimentConfig(
             task=task,
             model_id=model_id,
@@ -89,3 +93,7 @@ def sweep_configs(
         )
         for t in temperatures
     ]
+    temps = [c.temperature for c in configs]
+    if len(set(temps)) < len(temps):
+        raise ValueError(f"sweep temperatures repeat: {', '.join(map(str, temps))}")
+    return configs

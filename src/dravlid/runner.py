@@ -41,7 +41,6 @@ class RunManifest:
     unparseable_count: int
     cache_hits: int
     token_count: int
-    message_format: str = "single-user"
 
     def to_dict(self) -> dict:
         return {
@@ -58,7 +57,7 @@ class RunManifest:
             "unparseable_count": self.unparseable_count,
             "cache_hits": self.cache_hits,
             "token_count": self.token_count,
-            "message_format": self.message_format,
+            "message_format": "single-user",
         }
 
     def to_json(self) -> str:

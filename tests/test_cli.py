@@ -13,6 +13,7 @@ import pytest
 from dravlid.cache import load_cache_records, make_record
 from dravlid.cli import main
 from dravlid.fixtures import golden_report_path, replay_fixture_path, smoke_corpus_path
+from dravlid.metrics import REPORT_ROWS
 from dravlid.prompting import DEFAULT_MODEL_ID, ExperimentConfig, render_prompt
 from dravlid.taxonomy import TaskLanguage
 
@@ -577,9 +578,33 @@ class TestSweepAndReport:
         assert main(["report", str(tmp_path)]) == 2
         assert "no *.report.json" in capsys.readouterr().err
 
-    def test_report_rejects_foreign_json(self, tmp_path):
-        (tmp_path / "x.report.json").write_text('{"run_label": "x"}', encoding="utf-8")
-        assert main(["report", str(tmp_path)]) == 2
+    def test_report_rejects_foreign_json(self, tmp_path, capsys):
+        metrics = {key: 0.5 for _, key in REPORT_ROWS}
+        foreign = [
+            {"run_label": "x"},
+            None,
+            5,
+            {**metrics, "run_label": 5},
+            {**metrics, "accuracy": [0.5]},
+            {**metrics, "accuracy": True},
+            {**metrics, "accuracy": "0.5"},
+        ]
+        path = tmp_path / "x.report.json"
+        for data in foreign:
+            path.write_text(json.dumps(data), encoding="utf-8")
+            assert main(["report", str(tmp_path)]) == 2, data
+            assert str(path) in capsys.readouterr().err
+        path.write_text(json.dumps({**metrics, "run_label": None}), encoding="utf-8")
+        assert main(["report", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith("| Metric | run |")
+
+    @pytest.mark.parametrize("temperatures", ["0.7,0.7", "0.7,0.70", "1,0.8,1.0"])
+    def test_repeated_temperature_is_usage_error(self, tmp_path, capsys, temperatures):
+        missing = str(tmp_path / "absent.tsv")  # the flag is refused before any read
+        code = main(["sweep", missing, "--task", "kn", "--backend", "baseline",
+                     "--temperatures", temperatures])
+        assert code == 1
+        assert "sweep temperatures repeat" in capsys.readouterr().err
 
 
 def test_console_script_entry_point():

@@ -97,18 +97,19 @@ class TestDataset:
         with pytest.raises(ValueError, match="gold label"):
             ds.gold_categories()
 
-    def test_duplicate_positions_rejected(self):
-        token = LabeledToken("x", None, 0, 0)
-        with pytest.raises(ValueError):
-            Dataset(task=KN, tokens=(token, token))
+    def test_built_from_columns(self):
+        ds = Dataset(KN, ["a", "b", "c"], [Category.ENGLISH, None, Category.SYMBOL], [0, 2, 2])
+        assert ds.surfaces() == ["a", "b", "c"]
+        assert ds.tokens == (
+            LabeledToken("a", Category.ENGLISH, 1, 0),
+            LabeledToken("b", None, 1, 1),
+            LabeledToken("c", Category.SYMBOL, 3, 0),
+        )
+        assert serialize_corpus(ds) == "\na\ten\nb\n\n\nc\tsym\n"
 
-    def test_token_surface_validation(self):
-        with pytest.raises(ValueError):
-            LabeledToken("", None, 0, 0)
-        with pytest.raises(ValueError):
-            LabeledToken("a\tb", None, 0, 0)
-        with pytest.raises(ValueError):
-            LabeledToken("  ", None, 0, 0)
+    def test_column_lengths_must_match(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            Dataset(KN, ["a", "b"], [None])
 
 
 def _reparse(ds: Dataset, task: TaskLanguage) -> Dataset:
@@ -116,6 +117,14 @@ def _reparse(ds: Dataset, task: TaskLanguage) -> Dataset:
 
 
 class TestRoundTrip:
+    def test_serialized_bytes(self):
+        # A leading blank, a run of blanks, a whitespace-only line, CRLF
+        # endings and trailing blanks: blanks before a token are kept one for
+        # one as LF lines, blanks after the last token are dropped.
+        text = "\r\nhello\ten\r\n\r\n\r\nmane\r\n \t \r\nBangalore\tlocation\r\n\r\n  \r\n"
+        ds = parse_corpus(text, KN)
+        assert serialize_corpus(ds) == "\nhello\ten\n\n\nmane\n\nBangalore\tlocation\n"
+
     @pytest.mark.parametrize("task", [KN, TM])
     def test_smoke_corpus_round_trip_identity(self, task):
         ds = parse_corpus_file(smoke_corpus_path(task), task)
