@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import threading
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -136,23 +137,41 @@ class ResponseCache:
             if existing is not None:
                 return existing, False
             if self._path is not None:
-                line = record.to_json_line() + "\n"
+                data = (record.to_json_line() + "\n").encode("utf-8")
                 try:
-                    self._path.parent.mkdir(parents=True, exist_ok=True)
-                    with self._path.open("a", encoding="utf-8") as fh:
-                        if self._mend is not None:
-                            keep, lead = self._mend
-                            fh.truncate(keep)
-                            line = lead + line
-                        fh.write(line)
-                        fh.flush()
+                    self._append(data)
                 except OSError as exc:
                     raise CacheWriteError(
                         f"failed to append cache record to {self._path}: {exc}"
                     ) from exc
-                self._mend = None
             self._records[record.cache_key] = record
             return record, True
+
+    def _append(self, data: bytes) -> None:
+        """Write data with one append, after mending a last line that has no
+        newline; the parent directory is made when the first open finds it
+        missing."""
+        flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+        try:
+            fd = os.open(self._path, flags, 0o666)
+        except FileNotFoundError:
+            self._path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self._path, flags, 0o666)
+        try:
+            if self._mend is not None:
+                keep, lead = self._mend
+                os.ftruncate(fd, keep)
+                data = lead.encode("utf-8") + data
+            written = os.write(fd, data)
+            if written != len(data):
+                # A full disk. Cut the partial line off on the next append; a
+                # pending mend still holds, since this write began where it cuts.
+                if self._mend is None:
+                    self._mend = (os.lseek(fd, 0, os.SEEK_END) - written, "")
+                raise OSError(f"wrote {written} of {len(data)} bytes")
+            self._mend = None
+        finally:
+            os.close(fd)
 
 
 def load_cache_records(path: str | Path) -> list[CacheRecord]:

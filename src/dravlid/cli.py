@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from dravlid.backends import (
@@ -79,6 +79,15 @@ def _flag_values():
         raise _UsageError(str(exc)) from None
 
 
+@contextmanager
+def _reading(path):
+    """Name the file when its bytes are not UTF-8 or not JSON."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors by default; honor our contract.
     def error(self, message: str):
@@ -96,9 +105,10 @@ def _temperature_list(text: str) -> tuple[float, ...]:
 
 
 def _read_corpus_arg(path: str, task_flag: str | None) -> Dataset:
-    text = Path(path).read_text(encoding="utf-8")
-    task = parse_task(task_flag) if task_flag else detect_task(text)
-    return parse_corpus(text, task, source_path=path)
+    with _reading(path):
+        text = Path(path).read_text(encoding="utf-8")
+        task = parse_task(task_flag) if task_flag else detect_task(text)
+        return parse_corpus(text, task, source_path=path)
 
 
 def _add_task_flag(parser: argparse.ArgumentParser, required: bool) -> None:
@@ -243,16 +253,18 @@ def cmd_classify(args: argparse.Namespace) -> int:
             run_label=args.run_label,
         )
     transport = _transport_from_flags(args)
-    ds = _read_corpus_arg(args.corpus, args.task)
-    backend = _build_backend(args, transport)
-    result = run_experiment(ds, config, backend, failure_policy=args.policy)
-    _emit_run(result, args.out)
+    with transport or nullcontext():  # closes its idle connections
+        ds = _read_corpus_arg(args.corpus, args.task)
+        backend = _build_backend(args, transport)
+        result = run_experiment(ds, config, backend, failure_policy=args.policy)
+        _emit_run(result, args.out)
     return EXIT_OK
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     ds = _read_corpus_arg(args.gold, args.task)
-    words, categories = read_predictions_jsonl(args.pred, ds.task)
+    with _reading(args.pred):
+        words, categories = read_predictions_jsonl(args.pred, ds.task)
     surfaces = ds.surfaces()
     if words != surfaces:
         if len(words) != len(surfaces):
@@ -284,32 +296,33 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             parse_task(args.task), args.model, args.temperatures, args.max_output_tokens
         )
     transport = _transport_from_flags(args)
-    ds = _read_corpus_arg(args.corpus, args.task)
-    backend = _build_backend(args, transport)
-    out_dir = Path(args.out_dir) if args.out_dir else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    has_gold = None not in ds.golds
-    reports = []
-    for result in run_sweep(ds, configs, backend, failure_policy=args.policy):
-        label = result.manifest.config.run_label
+    with transport or nullcontext():  # closes its idle connections
+        ds = _read_corpus_arg(args.corpus, args.task)
+        backend = _build_backend(args, transport)
+        out_dir = Path(args.out_dir) if args.out_dir else None
         if out_dir is not None:
-            write_predictions_jsonl(
-                result.word_predictions, out_dir / f"{label}.predictions.jsonl"
-            )
-            (out_dir / f"{label}.manifest.json").write_text(
-                result.manifest.to_json(), encoding="utf-8"
-            )
-        if has_gold:
-            report = evaluate_run(
-                ds, result.predictions, run_label=label, macro_convention=args.macro
-            )
+            out_dir.mkdir(parents=True, exist_ok=True)
+
+        has_gold = None not in ds.golds
+        reports = []
+        for result in run_sweep(ds, configs, backend, failure_policy=args.policy):
+            label = result.manifest.config.run_label
             if out_dir is not None:
-                (out_dir / f"{label}.report.json").write_text(
-                    report_to_json(report), encoding="utf-8"
+                write_predictions_jsonl(
+                    result.word_predictions, out_dir / f"{label}.predictions.jsonl"
                 )
-            reports.append(report)
+                (out_dir / f"{label}.manifest.json").write_text(
+                    result.manifest.to_json(), encoding="utf-8"
+                )
+            if has_gold:
+                report = evaluate_run(
+                    ds, result.predictions, run_label=label, macro_convention=args.macro
+                )
+                if out_dir is not None:
+                    (out_dir / f"{label}.report.json").write_text(
+                        report_to_json(report), encoding="utf-8"
+                    )
+                reports.append(report)
 
     if reports:
         sys.stdout.write(reports_to_markdown(reports))
@@ -325,7 +338,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise ValueError(f"no *.report.json files under {run_dir}")
     dicts = []
     for path in paths:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        with _reading(path):
+            data = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ValueError(f"{path} does not hold a JSON object")
         if not isinstance(data.get("run_label"), (str, type(None))):

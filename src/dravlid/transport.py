@@ -4,17 +4,27 @@ Wire contract: POST {base_url}/v1/chat/completions with a bearer token and
 body {model, temperature, max_tokens, messages=[{role: "user", content}]};
 the reply is read verbatim from choices[0].message.content. Configuration
 falls back to the LI_API_BASE and LI_API_KEY environment variables.
+
+Requests go out on pooled standard-library keep-alive connections. HTTPS
+verifies against the system trust store (SSL_CERT_FILE and SSL_CERT_DIR
+override it). Redirects are not followed. The proxy comes from the
+environment (http_proxy, https_proxy, all_proxy, no_proxy): only a plain
+http:// proxy without credentials is supported, tunnelled with CONNECT for
+https endpoints; any other proxy is refused rather than bypassed.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
+import ssl
 import threading
 import time
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
 from typing import Callable
-
-import requests
 
 from dravlid.errors import ResponseFormatError, TransportError
 
@@ -106,7 +116,11 @@ class TokenBucket:
 
 
 class ChatTransport:
-    """Callable wrapper around one endpoint + credentials + retry policy."""
+    """Callable wrapper around one endpoint + credentials + retry policy.
+
+    Keeps its idle keep-alive connections for reuse by later requests, from
+    any thread; close() closes them, and so does leaving a `with` block.
+    """
 
     def __init__(
         self,
@@ -115,7 +129,6 @@ class ChatTransport:
         retry: RetryPolicy | None = None,
         rate_limiter: TokenBucket | None = None,
         timeout: float = DEFAULT_TIMEOUT,
-        session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         if not timeout > 0:  # also rejects NaN
@@ -130,19 +143,66 @@ class ChatTransport:
             raise ValueError(
                 f"no credentials configured: pass api_key or set {ENV_API_KEY}"
             )
-        self._url = base_url.rstrip("/") + "/v1/chat/completions"
-        self._api_key = api_key
+        parts = urllib.parse.urlsplit(base_url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(
+                f"base URL must start with http:// or https:// and name a host: {base_url!r}"
+            )
+        try:
+            parts.port  # raises ValueError when it is not a number in range
+        except ValueError as exc:
+            raise ValueError(f"base URL {base_url!r}: {exc}") from None
+        self._open_connection, self._target = _route(
+            parts, parts.path.rstrip("/") + "/v1/chat/completions", timeout
+        )
+        self._headers = {
+            "Authorization": f"Bearer {api_key}",
+            "Content-Type": "application/json",
+        }
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
         self.retry = retry if retry is not None else RetryPolicy()
         self._rate_limiter = rate_limiter
-        self._timeout = timeout
-        self._session = session if session is not None else requests.Session()
         self._sleep = sleep
         # complete() runs in pool threads; += on an attribute is not atomic.
         self._count_lock = threading.Lock()
         self.requests_sent = 0
 
+    def __enter__(self) -> "ChatTransport":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the idle connections; a later request opens a new one."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """Send one POST on an idle connection, or a new one; return the
+        status and the whole body. A connection goes back to the idle stack
+        only after its response was read; one whose request raised is closed."""
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            conn = self._open_connection()
+        try:
+            conn.request("POST", self._target, body, self._headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        with self._idle_lock:
+            self._idle.append(conn)
+        return resp.status, data
+
     def complete(self, req: ChatRequest) -> str:
         """POST the request; return the first choice's message text verbatim."""
+        body = json.dumps(req.to_wire()).encode("utf-8")
         last_status: int | None = None
         last_detail = ""
         for attempt in range(1, self.retry.max_attempts + 1):
@@ -151,24 +211,19 @@ class ChatTransport:
             with self._count_lock:
                 self.requests_sent += 1
             try:
-                resp = self._session.post(
-                    self._url,
-                    json=req.to_wire(),
-                    headers={"Authorization": f"Bearer {self._api_key}"},
-                    timeout=self._timeout,
-                )
-            except requests.RequestException as exc:
+                status, data = self._post(body)
+            except (OSError, http.client.HTTPException) as exc:
                 last_status = None
                 last_detail = str(exc)
             else:
-                if 200 <= resp.status_code < 300:
-                    return _extract_content(resp)
-                last_status = resp.status_code
-                last_detail = resp.text[:200]
-                if not self.retry.is_retryable(resp.status_code):
+                if 200 <= status < 300:
+                    return _extract_content(data)
+                last_status = status
+                last_detail = data.decode("utf-8", "replace")[:200]
+                if not self.retry.is_retryable(status):
                     raise TransportError(
-                        f"chat endpoint returned {resp.status_code}: {last_detail}",
-                        status=resp.status_code,
+                        f"chat endpoint returned {status}: {last_detail}",
+                        status=status,
                     )
             if attempt < self.retry.max_attempts:
                 self._sleep(self.retry.delay_after(attempt))
@@ -181,9 +236,60 @@ class ChatTransport:
         )
 
 
-def _extract_content(resp: requests.Response) -> str:
+def _route(
+    parts: urllib.parse.SplitResult, path: str, timeout: float
+) -> tuple[Callable[[], http.client.HTTPConnection], str]:
+    """A factory for connections to the endpoint and the request target for
+    path: direct, or through the environment's proxy unless it is bypassed."""
+    https = parts.scheme == "https"
+    # An explicit port, so that http.client never reads one out of an IPv6 host.
+    host, port = parts.hostname, parts.port or (443 if https else 80)
+    authority = parts.netloc.rpartition("@")[2]
+    proxy = _proxy_for(parts.scheme, authority)
+    address = proxy or (host, port)
+    if not https:
+        # A proxy takes the absolute form, and http.client sends Host from it.
+        target = f"http://{authority}{path}" if proxy else path
+        return lambda: http.client.HTTPConnection(*address, timeout=timeout), target
+    context = ssl.create_default_context()
+
+    def connect() -> http.client.HTTPConnection:
+        conn = http.client.HTTPSConnection(*address, timeout=timeout, context=context)
+        if proxy:
+            conn.set_tunnel(host, port)
+        return conn
+
+    return connect, path
+
+
+def _proxy_for(scheme: str, authority: str) -> tuple[str, int] | None:
+    """The (host, port) of the environment's proxy for scheme, or None when
+    there is none or no_proxy bypasses it for authority. ValueError names
+    the variable when the proxy is not a plain http:// one."""
+    proxies = urllib.request.getproxies()
+    key = scheme if proxies.get(scheme) else "all"
+    proxy = proxies.get(key)
+    if not proxy or urllib.request.proxy_bypass(authority):
+        return None
     try:
-        data = resp.json()
+        parts = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+        if parts.scheme == "http" and parts.hostname and "@" not in parts.netloc:
+            return parts.hostname, parts.port or 80
+    except ValueError:  # a port that is not a number
+        pass
+    variable = next(
+        (name for name in (f"{key}_proxy", f"{key.upper()}_PROXY") if name in os.environ),
+        f"{key}_proxy",
+    )
+    raise ValueError(
+        f"{variable}={proxy!r} is not supported: use an http:// proxy "
+        "without credentials, or list the endpoint's host in no_proxy"
+    )
+
+
+def _extract_content(body: bytes) -> str:
+    try:
+        data = json.loads(body)
     except ValueError as exc:
         raise ResponseFormatError(f"response body is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

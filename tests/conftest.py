@@ -56,6 +56,14 @@ def _no_ambient_credentials(monkeypatch):
     monkeypatch.delenv("LI_API_KEY", raising=False)
 
 
+@pytest.fixture(autouse=True)
+def _no_ambient_proxy(monkeypatch):
+    # Transport routes through these; the localhost stub must be reached directly.
+    for scheme in ("http", "https", "all", "no"):
+        monkeypatch.delenv(f"{scheme}_proxy", raising=False)
+        monkeypatch.delenv(f"{scheme.upper()}_PROXY", raising=False)
+
+
 def pytest_sessionfinish(session, exitstatus):
     # Only enforce the runtime budget on full-suite runs; a single slow test
     # picked with -k should not trip it.

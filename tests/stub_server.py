@@ -3,12 +3,19 @@
 Responses are served from an explicit queue; once the queue is empty the
 server answers every request with a 200 whose content comes from the
 `default_content` callable (given the parsed request body). Every request
-body is recorded for assertions.
+body, path and Host header is recorded for assertions, and so are the
+connections: how many were accepted and how many are still open.
+
+By default the server speaks HTTP/1.0 and closes each connection after its
+reply. With keep_alive it speaks HTTP/1.1 and keeps connections open; with
+hang_up as well, it closes each one after its reply without saying so, as a
+keep-alive server does when its idle timeout strikes between requests.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
@@ -19,22 +26,51 @@ def content_reply(text: str) -> dict:
 
 
 class StubChatServer:
-    def __init__(self, default_content: Callable[[dict], str] | None = None):
+    def __init__(
+        self,
+        default_content: Callable[[dict], str] | None = None,
+        keep_alive: bool = False,
+        hang_up: bool = False,
+    ):
         self._default_content = default_content or (lambda body: "en")
         self._script: list[tuple[int, object]] = []
         self._lock = threading.Lock()
         self.requests: list[dict] = []
         self.paths: list[str] = []
+        self.hosts: list[str] = []
+        self.connections = 0
+        self.open_connections = 0
 
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+            # A client that never closes must not hold up server_close() for long.
+            timeout = 10
+
+            def setup(self):
+                super().setup()
+                # Headers and body go out in two sends; without this a
+                # keep-alive client waits on delayed ACK for the body.
+                self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                with outer._lock:
+                    outer.connections += 1
+                    outer.open_connections += 1
+
+            def finish(self):
+                try:
+                    super().finish()
+                finally:
+                    with outer._lock:
+                        outer.open_connections -= 1
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", "0"))
                 body = json.loads(self.rfile.read(length) or b"{}")
                 with outer._lock:
                     outer.requests.append(body)
                     outer.paths.append(self.path)
+                    outer.hosts.append(self.headers.get("Host"))
                     if outer._script:
                         status, payload = outer._script.pop(0)
                     else:
@@ -51,6 +87,8 @@ class StubChatServer:
                 self.send_header("Content-Length", str(len(raw)))
                 self.end_headers()
                 self.wfile.write(raw)
+                if hang_up:
+                    self.close_connection = True
 
             def log_message(self, *args):
                 pass

@@ -1,6 +1,7 @@
 """Response cache: keying, persistence, first-record-wins semantics."""
 
 import json
+import os
 import re
 import threading
 
@@ -134,6 +135,24 @@ class TestResponseCache:
     def test_missing_key_is_none(self, tmp_path):
         assert ResponseCache(tmp_path / "c.jsonl").get("0" * 64) is None
 
+    def test_appended_bytes_are_the_json_lines(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        cache = ResponseCache(path)
+        records = [record(), record(prompt="The word is ಮನೆ.", response="kn\n")]
+        for rec in records:
+            cache.put_if_absent(rec)
+        expected = "".join(rec.to_json_line() + "\n" for rec in records)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_missing_parent_directory_made_on_first_append(self, tmp_path):
+        path = tmp_path / "runs" / "new" / "c.jsonl"
+        cache = ResponseCache(path)
+        assert not path.parent.exists()  # constructing writes nothing
+        first, second = record(), record(prompt="The word is y.")
+        cache.put_if_absent(first)
+        cache.put_if_absent(second)
+        assert load_cache_records(path) == [first, second]
+
     def test_unwritable_path_raises_cache_write_error(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("", encoding="utf-8")
@@ -263,6 +282,22 @@ class TestTornTail:
         ResponseCache(path).put_if_absent(extra)
         assert load_cache_records(path) == complete + [extra]
         assert path.read_bytes().endswith(b"\n")
+
+    def test_short_write_fails_and_the_next_append_cuts_it_off(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(TORN_FILE[:-1])  # the last line lacks its newline
+        cache = ResponseCache(path)
+        real_write = os.write
+        with monkeypatch.context() as m:
+            # What a full disk does: part of the line is written, no error.
+            m.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+            with pytest.raises(CacheWriteError, match="wrote 7 of"):
+                cache.put_if_absent(record(prompt="The word is lost."))
+        extra = record(prompt="The word is new.")
+        cache.put_if_absent(extra)
+        assert path.read_bytes() == TORN_FILE + extra.to_json_line().encode() + b"\n"
 
     def test_read_only_load_leaves_the_file_alone(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -3,9 +3,12 @@
 Exit-code contract: 0 success, 1 usage, 2 data, 3 transport.
 """
 
+import gc
 import json
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -79,6 +82,13 @@ class TestStats:
         assert main(["stats", corpus]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_file_not_utf8_is_data_error_naming_it(self, tmp_path, capsys):
+        corpus = tmp_path / "bad.tsv"
+        corpus.write_bytes(b"mane\tkn\nhel\xfflo\ten\n")
+        assert main(["stats", str(corpus)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {corpus}: 'utf-8' codec can't decode byte 0xff" in err
+
     def test_mixed_task_codes_need_explicit_task(self, tmp_path, capsys):
         corpus = write_lines(tmp_path / "mixed.tsv", "a\tkn", "b\ttm")
         assert main(["stats", corpus]) == 2
@@ -129,6 +139,15 @@ class TestUsageErrors:
                           "--api-key", "k", "--max-workers", "0"], "max_workers"),
             ("sweep", ["--backend", "live", "--base-url", "http://127.0.0.1:9",
                        "--api-key", "k", "--max-workers", "0"], "max_workers"),
+            # Not http(s): refused at once, not retried until the backoff runs out.
+            ("classify", ["--backend", "live", "--base-url", "localhost:8080",
+                          "--api-key", "k"], "base URL must start with http://"),
+            ("classify", ["--backend", "live", "--base-url", "ftp://x",
+                          "--api-key", "k"], "base URL must start with http://"),
+            ("sweep", ["--backend", "live", "--base-url", "localhost:8080",
+                       "--api-key", "k"], "base URL must start with http://"),
+            ("sweep", ["--backend", "live", "--base-url", "ftp://x",
+                       "--api-key", "k"], "base URL must start with http://"),
         ],
     )
     def test_flag_checked_before_corpus_is_read(
@@ -137,6 +156,20 @@ class TestUsageErrors:
         corpus = write_lines(tmp_path / "bad.tsv", "mane\tkn", "hello\tzz")
         assert main([command, corpus, "--task", "kn", *flags]) == 1
         assert message in capsys.readouterr().err
+
+    def test_unsupported_proxy_is_usage_error_before_corpus_is_read(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("HTTP_PROXY", "socks5://127.0.0.1:1080")
+        corpus = write_lines(tmp_path / "bad.tsv", "mane\tkn", "hello\tzz")
+        code = main(
+            ["classify", corpus, "--task", "kn", "--backend", "live",
+             "--base-url", "http://127.0.0.1:9", "--api-key", "k"]
+        )
+        assert code == 1
+        assert "HTTP_PROXY='socks5://127.0.0.1:1080' is not supported" in (
+            capsys.readouterr().err
+        )
 
     def test_flag_checked_before_cache_is_read(self, tmp_path, capsys):
         cache = write_lines(tmp_path / "cache.jsonl", "not json", "{}")
@@ -377,6 +410,31 @@ class TestClassifyLive:
             assert server.request_count == 2
 
 
+    @pytest.mark.parametrize("command", ["classify", "sweep"])
+    def test_connections_closed_when_the_command_ends(self, tmp_path, command):
+        corpus = write_lines(tmp_path / "c.tsv", "hello\ten", "mane\tkn")
+        with StubChatServer(keep_alive=True) as server, warnings.catch_warnings(
+            record=True
+        ) as caught:
+            # A connection left to the garbage collector warns as it closes.
+            warnings.simplefilter("always", ResourceWarning)
+            server.enqueue(200, {"choices": [{"message": {"content": "en"}}]})
+            server.enqueue(401, {"error": "bad key"})  # ends the run with exit 3
+            code = main(
+                [command, corpus, "--task", "kn", "--backend", "live",
+                 "--base-url", server.base_url, "--api-key", "k",
+                 "--rate-limit", "0", "--max-workers", "1"]
+            )
+            gc.collect()
+            assert code == 3
+            assert server.connections == 1
+            deadline = time.monotonic() + 5
+            while server.open_connections and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert server.open_connections == 0
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 class TestEvaluate:
     @pytest.fixture()
     def kn_preds(self, tmp_path):
@@ -431,6 +489,16 @@ class TestEvaluate:
         assert support["macro_precision"] == 1.0
         assert fixed["macro_precision"] == pytest.approx(1 / 7)
         assert support["prediction_only_classes"] == 1
+
+    @pytest.mark.parametrize("bad", ["gold", "pred"])
+    def test_file_not_utf8_is_data_error_naming_it(self, kn_preds, tmp_path, capsys, bad):
+        files = {"gold": KN_SMOKE, "pred": kn_preds}
+        broken = tmp_path / f"broken-{bad}"
+        broken.write_bytes(Path(files[bad]).read_bytes().replace(b"hello", b"hel\xfflo", 1))
+        files[bad] = str(broken)
+        assert main(["evaluate", "--gold", files["gold"], "--pred", files["pred"]]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {broken}: 'utf-8' codec can't decode byte 0xff" in err
 
     def test_count_mismatch_is_data_error(self, tmp_path, capsys):
         gold = write_lines(tmp_path / "g.tsv", "a\ten", "b\ten")
@@ -578,6 +646,13 @@ class TestSweepAndReport:
         assert main(["report", str(tmp_path)]) == 2
         assert "no *.report.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", [b'{"a": ', b'{"run_label": "\xff"}'])
+    def test_report_file_not_json_is_data_error_naming_it(self, tmp_path, capsys, raw):
+        path = tmp_path / "x.report.json"
+        path.write_bytes(raw)
+        assert main(["report", str(tmp_path)]) == 2
+        assert f"data error: {path}: " in capsys.readouterr().err
+
     def test_report_rejects_foreign_json(self, tmp_path, capsys):
         metrics = {key: 0.5 for _, key in REPORT_ROWS}
         foreign = [
@@ -616,3 +691,12 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "tokens: 30" in proc.stdout
+
+
+def test_cli_import_pulls_in_no_third_party_http_client():
+    probe = "import sys, dravlid.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
