@@ -8,16 +8,19 @@ falls back to the LI_API_BASE and LI_API_KEY environment variables.
 Requests go out on pooled standard-library keep-alive connections. HTTPS
 verifies against the system trust store (SSL_CERT_FILE and SSL_CERT_DIR
 override it). Redirects are not followed. The proxy comes from the
-environment (http_proxy, https_proxy, all_proxy, no_proxy): only a plain
-http:// proxy without credentials is supported, tunnelled with CONNECT for
-https endpoints; any other proxy is refused rather than bypassed.
+environment (http_proxy, https_proxy, all_proxy, no_proxy): only an
+http:// proxy is supported, tunnelled with CONNECT for https endpoints and
+given Basic credentials from its user:password; any other proxy is refused
+rather than bypassed.
 """
 
 from __future__ import annotations
 
+import base64
 import http.client
 import json
 import os
+import select
 import ssl
 import threading
 import time
@@ -35,6 +38,10 @@ DEFAULT_TIMEOUT = 30.0
 DEFAULT_RATE_PER_MINUTE = 60.0
 
 _RETRYABLE_STATUSES = frozenset({429}) | frozenset(range(500, 600))
+
+# How a send on a connection the server closed while it sat idle fails
+# before any byte of the response arrives (RemoteDisconnected is a reset).
+_DROPPED = (BrokenPipeError, ConnectionResetError)
 
 
 @dataclass(frozen=True)
@@ -152,12 +159,13 @@ class ChatTransport:
             parts.port  # raises ValueError when it is not a number in range
         except ValueError as exc:
             raise ValueError(f"base URL {base_url!r}: {exc}") from None
-        self._open_connection, self._target = _route(
+        self._open_connection, self._target, proxy_headers = _route(
             parts, parts.path.rstrip("/") + "/v1/chat/completions", timeout
         )
         self._headers = {
             "Authorization": f"Bearer {api_key}",
             "Content-Type": "application/json",
+            **proxy_headers,
         }
         self._idle: list[http.client.HTTPConnection] = []
         self._idle_lock = threading.Lock()
@@ -184,21 +192,53 @@ class ChatTransport:
     def _post(self, body: bytes) -> tuple[int, bytes]:
         """Send one POST on an idle connection, or a new one; return the
         status and the whole body. A connection goes back to the idle stack
-        only after its response was read; one whose request raised is closed."""
-        with self._idle_lock:
-            conn = self._idle.pop() if self._idle else None
-        if conn is None:
+        only after its response was read; one whose request raised is closed.
+
+        A pooled connection the server has closed is dropped before use; if
+        the server closes it as the request goes out, the request is sent
+        once more on a new connection, as the same attempt."""
+        conn = self._take_idle()
+        resp = None
+        if conn is not None:
+            try:
+                resp = self._send(conn, body)
+            except _DROPPED:
+                pass
+        if resp is None:
             conn = self._open_connection()
+            resp = self._send(conn, body)
         try:
-            conn.request("POST", self._target, body, self._headers)
-            resp = conn.getresponse()
             data = resp.read()
         except BaseException:
             conn.close()
             raise
-        with self._idle_lock:
-            self._idle.append(conn)
+        if conn.sock is not None:  # None once the server said it will close
+            with self._idle_lock:
+                self._idle.append(conn)
         return resp.status, data
+
+    def _take_idle(self) -> http.client.HTTPConnection | None:
+        """Pop the most recently used idle connection that is still open."""
+        while True:
+            with self._idle_lock:
+                if not self._idle:
+                    return None
+                conn = self._idle.pop()
+            # An idle socket reads ready only at EOF or with bytes no request
+            # asked for; either way it cannot carry the next exchange.
+            if not select.select([conn.sock], [], [], 0)[0]:
+                return conn
+            conn.close()
+
+    def _send(
+        self, conn: http.client.HTTPConnection, body: bytes
+    ) -> http.client.HTTPResponse:
+        try:
+            conn.request("POST", self._target, body, self._headers)
+            return conn.getresponse()
+        except BaseException:
+            conn.close()
+            raise
 
     def complete(self, req: ChatRequest) -> str:
         """POST the request; return the first choice's message text verbatim."""
@@ -238,34 +278,44 @@ class ChatTransport:
 
 def _route(
     parts: urllib.parse.SplitResult, path: str, timeout: float
-) -> tuple[Callable[[], http.client.HTTPConnection], str]:
-    """A factory for connections to the endpoint and the request target for
-    path: direct, or through the environment's proxy unless it is bypassed."""
+) -> tuple[Callable[[], http.client.HTTPConnection], str, dict]:
+    """A factory for connections to the endpoint, the request target for
+    path, and headers each request adds: direct, or through the
+    environment's proxy unless it is bypassed. A proxy's credentials go into
+    each request for an http endpoint, or into the CONNECT for an https one."""
     https = parts.scheme == "https"
     # An explicit port, so that http.client never reads one out of an IPv6 host.
     host, port = parts.hostname, parts.port or (443 if https else 80)
     authority = parts.netloc.rpartition("@")[2]
     proxy = _proxy_for(parts.scheme, authority)
-    address = proxy or (host, port)
+    if proxy is None:
+        address, proxy_headers = (host, port), {}
+    else:
+        address, proxy_headers = proxy
     if not https:
         # A proxy takes the absolute form, and http.client sends Host from it.
         target = f"http://{authority}{path}" if proxy else path
-        return lambda: http.client.HTTPConnection(*address, timeout=timeout), target
+        return (
+            lambda: http.client.HTTPConnection(*address, timeout=timeout),
+            target,
+            proxy_headers,
+        )
     context = ssl.create_default_context()
 
     def connect() -> http.client.HTTPConnection:
         conn = http.client.HTTPSConnection(*address, timeout=timeout, context=context)
         if proxy:
-            conn.set_tunnel(host, port)
+            conn.set_tunnel(host, port, headers=proxy_headers)
         return conn
 
-    return connect, path
+    return connect, path, {}
 
 
-def _proxy_for(scheme: str, authority: str) -> tuple[str, int] | None:
-    """The (host, port) of the environment's proxy for scheme, or None when
-    there is none or no_proxy bypasses it for authority. ValueError names
-    the variable when the proxy is not a plain http:// one."""
+def _proxy_for(scheme: str, authority: str) -> tuple[tuple[str, int], dict] | None:
+    """The (host, port) of the environment's proxy for scheme and the
+    headers its credentials need, or None when there is no proxy or no_proxy
+    bypasses it for authority. ValueError names the variable when the proxy
+    is not an http:// one."""
     proxies = urllib.request.getproxies()
     key = scheme if proxies.get(scheme) else "all"
     proxy = proxies.get(key)
@@ -273,18 +323,31 @@ def _proxy_for(scheme: str, authority: str) -> tuple[str, int] | None:
         return None
     try:
         parts = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
-        if parts.scheme == "http" and parts.hostname and "@" not in parts.netloc:
-            return parts.hostname, parts.port or 80
+        if parts.scheme == "http" and parts.hostname:
+            return (parts.hostname, parts.port or 80), _proxy_credentials(parts)
     except ValueError:  # a port that is not a number
         pass
     variable = next(
         (name for name in (f"{key}_proxy", f"{key.upper()}_PROXY") if name in os.environ),
         f"{key}_proxy",
     )
+    kind, sep, rest = proxy.rpartition("://")
+    shown = kind + sep + rest.rpartition("@")[2]  # never echo a password
     raise ValueError(
-        f"{variable}={proxy!r} is not supported: use an http:// proxy "
-        "without credentials, or list the endpoint's host in no_proxy"
+        f"{variable}={shown!r} is not supported: use an http:// proxy, "
+        "or list the endpoint's host in no_proxy"
     )
+
+
+def _proxy_credentials(parts: urllib.parse.SplitResult) -> dict:
+    """A Proxy-Authorization header for the proxy URL's user and password,
+    or none when it names no user."""
+    if not parts.username:
+        return {}
+    user = urllib.parse.unquote(parts.username)
+    password = urllib.parse.unquote(parts.password or "")
+    token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
+    return {"Proxy-Authorization": f"Basic {token}"}
 
 
 def _extract_content(body: bytes) -> str:

@@ -3,13 +3,16 @@
 Responses are served from an explicit queue; once the queue is empty the
 server answers every request with a 200 whose content comes from the
 `default_content` callable (given the parsed request body). Every request
-body, path and Host header is recorded for assertions, and so are the
+body, path and header set is recorded for assertions, and so are the
 connections: how many were accepted and how many are still open.
 
 By default the server speaks HTTP/1.0 and closes each connection after its
-reply. With keep_alive it speaks HTTP/1.1 and keeps connections open; with
+reply. With keep_alive it speaks HTTP/1.1 and keeps connections open. With
 hang_up as well, it closes each one after its reply without saying so, as a
-keep-alive server does when its idle timeout strikes between requests.
+keep-alive server does when its idle timeout strikes between requests. With
+drop_reused instead, it reads each later request on a connection and closes
+it without a reply (counted in `dropped`), as such a server does when the
+timeout strikes while a request is on its way.
 """
 
 from __future__ import annotations
@@ -31,13 +34,15 @@ class StubChatServer:
         default_content: Callable[[dict], str] | None = None,
         keep_alive: bool = False,
         hang_up: bool = False,
+        drop_reused: bool = False,
     ):
         self._default_content = default_content or (lambda body: "en")
         self._script: list[tuple[int, object]] = []
         self._lock = threading.Lock()
         self.requests: list[dict] = []
         self.paths: list[str] = []
-        self.hosts: list[str] = []
+        self.headers: list[dict] = []
+        self.dropped = 0
         self.connections = 0
         self.open_connections = 0
 
@@ -53,6 +58,7 @@ class StubChatServer:
                 # Headers and body go out in two sends; without this a
                 # keep-alive client waits on delayed ACK for the body.
                 self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                self.served = 0
                 with outer._lock:
                     outer.connections += 1
                     outer.open_connections += 1
@@ -67,10 +73,16 @@ class StubChatServer:
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", "0"))
                 body = json.loads(self.rfile.read(length) or b"{}")
+                if drop_reused and self.served:
+                    with outer._lock:
+                        outer.dropped += 1
+                    self.close_connection = True
+                    return
+                self.served += 1
                 with outer._lock:
                     outer.requests.append(body)
                     outer.paths.append(self.path)
-                    outer.hosts.append(self.headers.get("Host"))
+                    outer.headers.append(dict(self.headers))
                     if outer._script:
                         status, payload = outer._script.pop(0)
                     else:
