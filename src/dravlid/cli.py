@@ -27,7 +27,7 @@ from dravlid.baseline import lexicons_from_dir
 from dravlid.cache import ResponseCache
 from dravlid.classifiers import FAILURE_POLICIES
 from dravlid.corpus import Dataset, compute_stats, detect_task, parse_corpus
-from dravlid.errors import DravlidError, ResponseFormatError, TransportError
+from dravlid.errors import CorpusParseError, DravlidError, ResponseFormatError, TransportError
 from dravlid.metrics import (
     REPORT_ROWS,
     report_dicts_to_markdown,
@@ -47,7 +47,6 @@ from dravlid.runner import (
     predictions_to_jsonl,
     read_predictions_jsonl,
     run_experiment,
-    run_sweep,
     write_predictions_jsonl,
 )
 from dravlid.taxonomy import Category, parse_task
@@ -81,10 +80,11 @@ def _flag_values():
 
 @contextmanager
 def _reading(path):
-    """Name the file when its bytes are not UTF-8 or not JSON."""
+    """Name the file when its bytes are not UTF-8 or not JSON, or when one of
+    its corpus or predictions lines is bad."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, CorpusParseError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -169,54 +169,47 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _transport_from_flags(args: argparse.Namespace) -> ChatTransport | None:
-    """Check the backend flags and build the live transport from them.
+@contextmanager
+def _session(args: argparse.Namespace):
+    """Check the backend flags, open the live transport, read the corpus and
+    load the backend's files, in that order; yield (ds, backend).
 
-    Reads no file, so a bad flag value is a usage error before any corpus,
-    cache or replay file is read. None unless the backend is live.
+    A bad flag value is a usage error before any corpus, cache, replay or
+    lexicon file is read. The transport's connections close on the way out.
     """
     if args.backend == "replay" and not args.cache:
         raise _UsageError(
             "the replay backend needs --cache pointing at a recorded-response file"
         )
-    if args.backend != "live":
-        return None
-    with _flag_values():
-        check_max_workers(args.max_workers)
-        return ChatTransport(
-            base_url=args.base_url,
-            api_key=args.api_key,
-            retry=RetryPolicy(
-                max_attempts=args.max_attempts, base_delay=args.retry_base_delay
-            ),
-            rate_limiter=TokenBucket(args.rate_limit) if args.rate_limit != 0 else None,
-            timeout=args.timeout,
-        )
+    transport = None
+    if args.backend == "live":
+        with _flag_values():
+            check_max_workers(args.max_workers)
+            transport = ChatTransport(
+                base_url=args.base_url,
+                api_key=args.api_key,
+                retry=RetryPolicy(
+                    max_attempts=args.max_attempts, base_delay=args.retry_base_delay
+                ),
+                rate_limiter=TokenBucket(args.rate_limit) if args.rate_limit != 0 else None,
+                timeout=args.timeout,
+            )
+    with transport or nullcontext():
+        ds = _read_corpus_arg(args.corpus, args.task)
+        if args.backend == "baseline":
+            lexicons = lexicons_from_dir(args.lexicon_dir) if args.lexicon_dir else None
+            backend = BaselineBackend(lexicons=lexicons)
+        elif args.backend == "replay":
+            backend = ReplayBackend.from_jsonl(args.cache)
+        else:
+            cache = ResponseCache(args.cache, cache_bust=args.cache_bust)
+            backend = LiveBackend(cache=cache, transport=transport, max_workers=args.max_workers)
+        yield ds, backend
 
 
-def _build_backend(args: argparse.Namespace, transport: ChatTransport | None):
-    """Load the backend's data files; the flags were checked by _transport_from_flags."""
-    if args.backend == "baseline":
-        lexicons = lexicons_from_dir(args.lexicon_dir) if args.lexicon_dir else None
-        return BaselineBackend(lexicons=lexicons)
-    if args.backend == "replay":
-        return ReplayBackend.from_jsonl(args.cache)
-    cache = ResponseCache(args.cache, cache_bust=args.cache_bust)
-    return LiveBackend(cache=cache, transport=transport, max_workers=args.max_workers)
-
-
-def _emit_run(result, out: str | None) -> None:
-    if out:
-        write_predictions_jsonl(result.word_predictions, out)
-        manifest_path = Path(out).with_name(Path(out).name + ".manifest.json")
-        manifest_path.write_text(result.manifest.to_json(), encoding="utf-8")
-        m = result.manifest
-        print(
-            f"wrote {m.token_count} predictions to {out} "
-            f"({m.cache_hits} cache hits, {m.unparseable_count} unparseable)"
-        )
-    else:
-        sys.stdout.write(predictions_to_jsonl(result.word_predictions))
+def _write_run(result, predictions_path, manifest_path) -> None:
+    write_predictions_jsonl(result.word_predictions, predictions_path)
+    Path(manifest_path).write_text(result.manifest.to_json(), encoding="utf-8")
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -252,12 +245,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
             max_output_tokens=args.max_output_tokens,
             run_label=args.run_label,
         )
-    transport = _transport_from_flags(args)
-    with transport or nullcontext():  # closes its idle connections
-        ds = _read_corpus_arg(args.corpus, args.task)
-        backend = _build_backend(args, transport)
+    with _session(args) as (ds, backend):
         result = run_experiment(ds, config, backend, failure_policy=args.policy)
-        _emit_run(result, args.out)
+        if args.out:
+            _write_run(result, args.out, f"{args.out}.manifest.json")
+            m = result.manifest
+            print(
+                f"wrote {m.token_count} predictions to {args.out} "
+                f"({m.cache_hits} cache hits, {m.unparseable_count} unparseable)"
+            )
+        else:
+            sys.stdout.write(predictions_to_jsonl(result.word_predictions))
     return EXIT_OK
 
 
@@ -295,25 +293,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         configs = sweep_configs(
             parse_task(args.task), args.model, args.temperatures, args.max_output_tokens
         )
-    transport = _transport_from_flags(args)
-    with transport or nullcontext():  # closes its idle connections
-        ds = _read_corpus_arg(args.corpus, args.task)
-        backend = _build_backend(args, transport)
+    with _session(args) as (ds, backend):
         out_dir = Path(args.out_dir) if args.out_dir else None
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
 
         has_gold = None not in ds.golds
         reports = []
-        for result in run_sweep(ds, configs, backend, failure_policy=args.policy):
-            label = result.manifest.config.run_label
+        for config in configs:
+            result = run_experiment(ds, config, backend, failure_policy=args.policy)
+            label = config.run_label
             if out_dir is not None:
-                write_predictions_jsonl(
-                    result.word_predictions, out_dir / f"{label}.predictions.jsonl"
-                )
-                (out_dir / f"{label}.manifest.json").write_text(
-                    result.manifest.to_json(), encoding="utf-8"
-                )
+                _write_run(result, out_dir / f"{label}.predictions.jsonl",
+                           out_dir / f"{label}.manifest.json")
             if has_gold:
                 report = evaluate_run(
                     ds, result.predictions, run_label=label, macro_convention=args.macro

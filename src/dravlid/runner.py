@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from dravlid.backends import Backend
 from dravlid.cache import utc_now_rfc3339
@@ -118,20 +118,6 @@ def evaluate_run(
             f"{len(predictions)} predictions for {len(gold)} gold tokens"
         )
     return evaluate(gold, predictions, run_label=run_label, macro_convention=macro_convention)
-
-
-def run_sweep(
-    ds: Dataset,
-    configs: Sequence[ExperimentConfig],
-    backend: Backend,
-    failure_policy: str = "map_to_other",
-) -> Iterator[RunResult]:
-    """One experiment per config, in the given order, yielded as each ends.
-
-    Lazy so a caller that writes each run out holds one run at a time.
-    """
-    for config in configs:
-        yield run_experiment(ds, config, backend, failure_policy)
 
 
 def write_predictions_jsonl(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import base64
 import http.client
 import json
+import math
 import os
 import select
 import ssl
@@ -36,6 +37,11 @@ ENV_API_KEY = "LI_API_KEY"
 
 DEFAULT_TIMEOUT = 30.0
 DEFAULT_RATE_PER_MINUTE = 60.0
+
+# The longest timeout or single sleep, in seconds. Sockets refuse a timeout
+# above threading.TIMEOUT_MAX and time.sleep() one that ends past it on the
+# monotonic clock, so waits stop at half of it (146 years on Linux).
+MAX_WAIT = threading.TIMEOUT_MAX / 2
 
 _RETRYABLE_STATUSES = frozenset({429}) | frozenset(range(500, 600))
 
@@ -75,15 +81,18 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if not self.base_delay >= 0:  # also rejects NaN
-            raise ValueError("base_delay must be non-negative")
+        if not 0 <= self.base_delay <= MAX_WAIT:  # also rejects NaN
+            raise ValueError(f"base_delay must be non-negative and at most {MAX_WAIT:.0f} s")
 
     def is_retryable(self, status: int) -> bool:
         return status in _RETRYABLE_STATUSES
 
     def delay_after(self, attempt: int) -> float:
-        """Seconds to wait after the given 1-based failed attempt."""
-        return self.base_delay * 2 ** (attempt - 1)
+        """Seconds to wait after the given 1-based failed attempt, at most MAX_WAIT."""
+        try:
+            return min(math.ldexp(self.base_delay, attempt - 1), MAX_WAIT)
+        except OverflowError:  # doubled past the largest float
+            return MAX_WAIT
 
 
 class TokenBucket:
@@ -92,14 +101,13 @@ class TokenBucket:
     def __init__(
         self,
         rate_per_minute: float = DEFAULT_RATE_PER_MINUTE,
-        burst: float | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if not rate_per_minute > 0:  # also rejects NaN
-            raise ValueError("rate_per_minute must be positive")
         self._rate_per_second = rate_per_minute / 60.0
-        self._capacity = burst if burst is not None else rate_per_minute
+        if not self._rate_per_second > 0:  # also rejects NaN, and a rate that underflows
+            raise ValueError("rate_per_minute must be positive")
+        self._capacity = max(1.0, rate_per_minute)  # a minute's requests, at least one
         self._tokens = self._capacity
         self._clock = clock
         self._sleep = sleep
@@ -119,7 +127,7 @@ class TokenBucket:
                     self._tokens -= 1.0
                     return
                 wait = (1.0 - self._tokens) / self._rate_per_second
-            self._sleep(wait)
+            self._sleep(min(wait, MAX_WAIT))
 
 
 class ChatTransport:
@@ -138,8 +146,8 @@ class ChatTransport:
         timeout: float = DEFAULT_TIMEOUT,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if not timeout > 0:  # also rejects NaN
-            raise ValueError("timeout must be positive")
+        if not 0 < timeout <= MAX_WAIT:  # also rejects NaN
+            raise ValueError(f"timeout must be positive and at most {MAX_WAIT:.0f} s")
         base_url = base_url or os.environ.get(ENV_API_BASE)
         if not base_url:
             raise ValueError(

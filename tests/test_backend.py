@@ -8,6 +8,7 @@ import base64
 import gc
 import http.client
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -22,7 +23,13 @@ from dravlid.errors import FixtureMissError, ResponseFormatError, TransportError
 from dravlid.fixtures import replay_fixture_path, smoke_corpus_path
 from dravlid.prompting import ExperimentConfig, render_prompt
 from dravlid.taxonomy import TaskLanguage
-from dravlid.transport import ChatRequest, ChatTransport, RetryPolicy, TokenBucket
+from dravlid.transport import (
+    MAX_WAIT,
+    ChatRequest,
+    ChatTransport,
+    RetryPolicy,
+    TokenBucket,
+)
 
 KN = TaskLanguage.KANNADA
 TM = TaskLanguage.TAMIL
@@ -138,6 +145,40 @@ class TestRetries:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan"), float("inf"), 1e10, 1e300])
+    def test_base_delay_out_of_range_rejected(self, delay):
+        with pytest.raises(ValueError, match="base_delay must be non-negative and at most"):
+            RetryPolicy(base_delay=delay)
+
+    def test_delay_stops_at_the_longest_wait(self):
+        assert RetryPolicy(max_attempts=2000, base_delay=0.0).delay_after(1025) == 0.0
+        assert RetryPolicy(base_delay=1.0).delay_after(1025) == MAX_WAIT
+        assert RetryPolicy(base_delay=MAX_WAIT).delay_after(2) == MAX_WAIT
+        # Unchanged below the cap.
+        assert RetryPolicy(base_delay=1.0).delay_after(33) == 2.0**32
+        assert RetryPolicy(base_delay=5e-324).delay_after(1000) == 5e-324 * 2**999
+
+    def test_longest_wait_is_one_the_platform_sleeps(self):
+        # time.sleep() refuses threading.TIMEOUT_MAX itself (EINVAL on
+        # Linux), so a sleep of MAX_WAIT must still be accepted; it is cut
+        # off here, not waited out.
+        probe = "import time; from dravlid.transport import MAX_WAIT; time.sleep(MAX_WAIT)"
+        with pytest.raises(subprocess.TimeoutExpired):
+            subprocess.run([sys.executable, "-c", probe], capture_output=True, timeout=1)
+
+    def test_many_failed_attempts_end_in_transport_error(self, monkeypatch):
+        delays = []
+        transport = ChatTransport(
+            base_url="http://127.0.0.1:9",
+            api_key="k",
+            retry=RetryPolicy(max_attempts=1100, base_delay=0.0),
+            sleep=delays.append,
+        )
+        monkeypatch.setattr(transport, "_post", lambda body: (503, b"busy"))
+        with pytest.raises(TransportError, match="1100 attempts"):
+            transport.complete(request())
+        assert delays == [0.0] * 1099
 
 
 def run_in_threads(work, threads=4, each=25) -> list:
@@ -430,13 +471,21 @@ class TestConfiguration:
         with pytest.raises(ValueError, match="timeout must be positive"):
             ChatTransport(base_url="http://127.0.0.1:9", api_key="k", timeout=timeout)
 
+    @pytest.mark.parametrize("timeout", [float("inf"), 1e10, 1e300])
+    def test_timeout_beyond_the_longest_wait_rejected(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be positive and at most"):
+            ChatTransport(base_url="http://127.0.0.1:9", api_key="k", timeout=timeout)
+
+    def test_longest_timeout_is_one_sockets_take(self):
+        with echo_server() as server:
+            with make_transport(server, timeout=MAX_WAIT) as transport:
+                assert transport.complete(request()) == "reply:mane"
+
 
 class TestTokenBucket:
     def test_burst_up_to_capacity_without_waiting(self):
         waits = []
-        bucket = TokenBucket(
-            rate_per_minute=60.0, burst=3, clock=lambda: 0.0, sleep=waits.append
-        )
+        bucket = TokenBucket(rate_per_minute=3.0, clock=lambda: 0.0, sleep=waits.append)
         for _ in range(3):
             bucket.acquire()
         assert waits == []
@@ -449,16 +498,48 @@ class TestTokenBucket:
             waits.append(seconds)
             now[0] += seconds
 
-        bucket = TokenBucket(
-            rate_per_minute=60.0, burst=1, clock=lambda: now[0], sleep=fake_sleep
-        )
+        bucket = TokenBucket(rate_per_minute=1.0, clock=lambda: now[0], sleep=fake_sleep)
         bucket.acquire()
-        bucket.acquire()  # one token per second at 60/min
-        assert waits == [pytest.approx(1.0)]
+        bucket.acquire()  # one token per minute at 1/min
+        assert waits == [pytest.approx(60.0)]
+
+    @staticmethod
+    def fake_time():
+        """A clock, a sleep that advances it, and the list of sleeps. A
+        bucket that never fills fails the test instead of hanging it."""
+        now = [0.0]
+        waits = []
+
+        def sleep(seconds):
+            waits.append(seconds)
+            now[0] += seconds
+            assert len(waits) < 20_000, "still waiting"
+
+        return (lambda: now[0]), sleep, waits
+
+    def test_rate_below_one_per_minute_lets_requests_through(self):
+        clock, sleep, waits = self.fake_time()
+        bucket = TokenBucket(rate_per_minute=0.5, clock=clock, sleep=sleep)
+        bucket.acquire()
+        assert waits == []
+        bucket.acquire()
+        assert waits == [pytest.approx(120.0)]
+
+    def test_tiny_rate_sleeps_in_bounded_steps(self):
+        clock, sleep, waits = self.fake_time()
+        bucket = TokenBucket(rate_per_minute=1e-12, clock=clock, sleep=sleep)
+        bucket.acquire()
+        bucket.acquire()
+        assert waits and all(0 < w <= MAX_WAIT for w in waits)
+        assert sum(waits) == pytest.approx(60e12)
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
             TokenBucket(rate_per_minute=0)
+
+    def test_rate_that_is_zero_per_second_rejected(self):
+        with pytest.raises(ValueError, match="rate_per_minute must be positive"):
+            TokenBucket(rate_per_minute=5e-324)
 
 
 class TestLiveBackend:

@@ -96,6 +96,22 @@ class TestStats:
         assert main(["stats", corpus, "--task", "tm"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["stats", "{corpus}"],
+        ["evaluate", "--gold", "{corpus}", "--pred", "{corpus}"],
+        ["classify", "{corpus}", "--task", "kn", "--backend", "baseline"],
+        ["sweep", "{corpus}", "--task", "kn", "--backend", "baseline"],
+    ],
+    ids=["stats", "evaluate", "classify", "sweep"],
+)
+def test_bad_corpus_line_error_names_the_file(tmp_path, capsys, command):
+    corpus = write_lines(tmp_path / "bad.tsv", "a\ten", "b\ten\textra")
+    assert main([arg.format(corpus=corpus) for arg in command]) == 2
+    assert f"data error: {corpus}: line 2: " in capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_no_subcommand(self):
         assert main([]) == 1
@@ -148,6 +164,18 @@ class TestUsageErrors:
                        "--api-key", "k"], "base URL must start with http://"),
             ("sweep", ["--backend", "live", "--base-url", "ftp://x",
                        "--api-key", "k"], "base URL must start with http://"),
+            # Waits past the longest a socket or a sleep takes.
+            *(
+                (command, ["--backend", "live", "--base-url", "http://127.0.0.1:9",
+                           "--api-key", "k", flag, value], message)
+                for command in ("classify", "sweep")
+                for flag, value, message in [
+                    ("--timeout", "inf", "timeout must be positive and at most"),
+                    ("--timeout", "1e300", "timeout must be positive and at most"),
+                    ("--retry-base-delay", "inf", "base_delay must be non-negative"),
+                    ("--retry-base-delay", "1e10", "base_delay must be non-negative"),
+                ]
+            ),
         ],
     )
     def test_flag_checked_before_corpus_is_read(
@@ -548,7 +576,9 @@ class TestEvaluate:
             bad_line,
         )
         assert main(["evaluate", "--gold", gold, "--pred", pred]) == 2
-        assert "data error: line 2: bad predictions line" in capsys.readouterr().err
+        assert f"data error: {pred}: line 2: bad predictions line" in (
+            capsys.readouterr().err
+        )
 
     def test_malformed_predictions_are_data_errors(self, tmp_path):
         gold = write_lines(tmp_path / "g.tsv", "a\ten")
@@ -577,6 +607,33 @@ def test_replay_classify_then_evaluate_reproduces_golden_report(tmp_path, capsys
     assert main(["evaluate", "--gold", corpus, "--pred", preds,
                  "--run-label", run_label]) == 0
     assert capsys.readouterr().out == golden_report_path(task).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("task", [TaskLanguage.KANNADA, TaskLanguage.TAMIL])
+def test_classify_writes_the_run_files_a_one_temperature_sweep_writes(
+    tmp_path, capsys, task
+):
+    corpus = str(smoke_corpus_path(task))
+    backend = ["--task", task.value, "--backend", "replay",
+               "--cache", str(replay_fixture_path(task))]
+    preds = tmp_path / "p.jsonl"
+    assert main(["classify", corpus, *backend, "--temperature", "0.8",
+                 "--out", str(preds)]) == 0
+    assert main(["sweep", corpus, *backend, "--temperatures", "0.8",
+                 "--out-dir", str(tmp_path / "runs")]) == 0
+    capsys.readouterr()
+    label = ExperimentConfig(task=task, temperature=0.8).run_label
+    swept = tmp_path / "runs" / f"{label}.predictions.jsonl"
+    assert preds.read_bytes() == swept.read_bytes()
+
+    def manifest(path):
+        data = json.loads(path.read_text(encoding="utf-8"))
+        del data["started_at"], data["finished_at"]
+        return data
+
+    assert manifest(tmp_path / "p.jsonl.manifest.json") == manifest(
+        tmp_path / "runs" / f"{label}.manifest.json"
+    )
 
 
 class TestSweepAndReport:

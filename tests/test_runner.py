@@ -16,7 +16,6 @@ from dravlid.runner import (
     predictions_to_jsonl,
     read_predictions_jsonl,
     run_experiment,
-    run_sweep,
     write_predictions_jsonl,
 )
 from dravlid.taxonomy import Category, TaskLanguage
@@ -191,7 +190,7 @@ class TestSweep:
         ds = parse_corpus_file(smoke_corpus_path(KN), KN)
         backend = ReplayBackend.from_jsonl(replay_fixture_path(KN))
         configs = sweep_configs(KN, "gpt-3.5-turbo")
-        results = list(run_sweep(ds, configs, backend))
+        results = [run_experiment(ds, config, backend) for config in configs]
         assert [r.manifest.config.temperature for r in results] == [0.7, 0.8, 0.9]
         # Higher fixture temperatures answer with more mistakes.
         scores = [
