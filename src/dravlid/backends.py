@@ -72,7 +72,7 @@ class LiveBackend:
         at most max_workers at a time. Later occurrences of a word count
         as cache hits.
         """
-        answers: dict[str, tuple[str, bool]] = {}
+        answers: dict[str, RawPrediction] = {}
         misses: list[tuple[str, str]] = []
         for word in dict.fromkeys(words):
             prompt = render_prompt(word, config.task)
@@ -81,25 +81,21 @@ class LiveBackend:
             if record is None:
                 misses.append((word, prompt))
             else:
-                answers[word] = (record.raw_response, True)
+                answers[word] = RawPrediction(word, record.raw_response, True)
 
         if len(misses) > 1 and self.max_workers > 1:
             with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
                 replies = list(pool.map(lambda m: self._miss(*m, config), misses))
         else:
             replies = [self._miss(word, prompt, config) for word, prompt in misses]
-        answers.update(zip((word for word, _ in misses), replies))
+        for (word, _), reply in zip(misses, replies):
+            answers[word] = RawPrediction(word, *reply)
 
-        # One prediction per word for its first occurrence and, if that was
-        # not a cache hit, one marked as a hit shared by its later occurrences.
-        shared: dict[str, RawPrediction] = {}
         results = []
         for word in words:
-            prediction = shared.get(word)
-            if prediction is None:
-                prediction = shared[word] = RawPrediction(word, *answers[word])
-            elif not prediction.from_cache:
-                prediction = shared[word] = RawPrediction(word, prediction.raw_response, True)
+            prediction = answers[word]
+            if not prediction.from_cache:
+                answers[word] = RawPrediction(word, prediction.raw_response, True)
             results.append(prediction)
         return results
 

@@ -22,7 +22,6 @@ from dravlid.prompting import (
 )
 from dravlid.taxonomy import (
     Category,
-    NormalizationOutcome,
     TaskLanguage,
     code_for,
     normalize_response,
@@ -81,31 +80,28 @@ def resolve_predictions(
     word, reply and cache flag share one (frozen) WordPrediction.
     """
     check_policy(failure_policy)
-    outcomes: dict[str, NormalizationOutcome] = {}
+    replies: dict[str, tuple[Category, str, bool]] = {}  # category, code, unparseable
     shared: dict[tuple[str, str, bool], WordPrediction] = {}
     resolved = []
     for raw in raws:
         key = (raw.word, raw.raw_response, raw.from_cache)
         prediction = shared.get(key)
         if prediction is None:
-            outcome = outcomes.get(raw.raw_response)
-            if outcome is None:
-                outcome = outcomes[raw.raw_response] = normalize_response(
-                    raw.raw_response, task
+            reply = replies.get(raw.raw_response)
+            if reply is None:
+                outcome = normalize_response(raw.raw_response, task)
+                category = outcome.category if outcome.ok else Category.OTHER
+                reply = replies[raw.raw_response] = (
+                    category, code_for(category, task), not outcome.ok
                 )
-            if not outcome.ok and failure_policy == "strict":
+            category, code, unparseable = reply
+            if unparseable and failure_policy == "strict":
                 raise UnparseableResponseError(
                     f"could not map reply for word {raw.word!r} to a category "
                     f"(raw reply: {raw.raw_response!r})"
                 )
-            category = outcome.category if outcome.ok else Category.OTHER
             prediction = shared[key] = WordPrediction(
-                word=raw.word,
-                raw_response=raw.raw_response,
-                category=category,
-                category_code=code_for(category, task),
-                from_cache=raw.from_cache,
-                unparseable=not outcome.ok,
+                raw.word, raw.raw_response, category, code, raw.from_cache, unparseable
             )
         resolved.append(prediction)
     return resolved

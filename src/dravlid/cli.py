@@ -5,7 +5,7 @@ corpus), `evaluate` (score predictions against gold), `sweep` (one classify
 run per temperature plus a comparison table), and `report` (re-render saved
 report JSON as one markdown table).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 transport error.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 transport error, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ from dravlid.prompting import (
 )
 from dravlid.runner import (
     evaluate_run,
-    predictions_to_jsonl,
     read_predictions_jsonl,
     run_experiment,
+    write_predictions,
     write_predictions_jsonl,
 )
 from dravlid.taxonomy import Category, parse_task
@@ -62,6 +62,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_TRANSPORT = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 class _UsageError(Exception):
@@ -208,7 +209,7 @@ def _session(args: argparse.Namespace):
 
 
 def _write_run(result, predictions_path, manifest_path) -> None:
-    write_predictions_jsonl(result.word_predictions, predictions_path)
+    write_predictions_jsonl(result, predictions_path)
     Path(manifest_path).write_text(result.manifest.to_json(), encoding="utf-8")
 
 
@@ -255,7 +256,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 f"({m.cache_hits} cache hits, {m.unparseable_count} unparseable)"
             )
         else:
-            sys.stdout.write(predictions_to_jsonl(result.word_predictions))
+            sys.stdout.flush()  # the lines go out as UTF-8 bytes, whatever the locale
+            write_predictions(result.distinct, result.index, sys.stdout.buffer)
     return EXIT_OK
 
 
@@ -430,6 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DravlidError, ValueError, OSError) as exc:
         print(f"dravlid: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except KeyboardInterrupt:
+        print("dravlid: interrupted", file=sys.stderr)  # the transport has closed
+        return EXIT_INTERRUPTED
 
 
 def console_main() -> None:

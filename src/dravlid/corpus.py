@@ -7,12 +7,13 @@ terminator, so symbol tokens survive byte-exact.
 
 A corpus repeats a small vocabulary, so the parser validates each distinct
 line once and builds the Dataset from columns (surfaces, gold labels,
-sentence breaks). `Dataset.tokens` is a per-token view of those columns;
-nothing in the library builds it.
+sentence breaks). A run factorizes the surfaces once more, into a table of
+distinct words and an index column, and works per distinct word from there.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,24 +31,14 @@ def _check_surface(surface: str) -> None:
         raise ValueError(f"token surface contains tab or newline: {surface!r}")
 
 
-@dataclass(frozen=True)
-class LabeledToken:
-    """A surface word with optional gold category and its corpus position."""
-
-    surface: str
-    gold: Category | None
-    sentence_index: int
-    token_index: int
-
-
 class Dataset:
     """An ordered token sequence for one task. Token order is load-bearing.
 
     Held as columns: `surfaces()` gives the words and `golds` the gold label
     of each (None where unlabeled). `breaks` holds one offset per blank line,
-    the number of tokens before it, so runs of blank lines are kept. `tokens`
-    is a per-token view that derives each token's sentence and token index
-    from the breaks on first use; nothing in the library builds it.
+    the number of tokens before it, so runs of blank lines are kept. `words`
+    (the distinct surfaces in first-occurrence order) and `index` (one id
+    into `words` per token) are built on first use: only a run pays for them.
     """
 
     def __init__(
@@ -67,16 +58,13 @@ class Dataset:
             raise ValueError("surfaces and golds differ in length")
 
     @cached_property
-    def tokens(self) -> tuple[LabeledToken, ...]:
-        tokens = []
-        start = 0
-        for sentence_index, end in enumerate((*self.breaks, len(self._surfaces))):
-            tokens.extend(
-                LabeledToken(self._surfaces[i], self.golds[i], sentence_index, i - start)
-                for i in range(start, end)
-            )
-            start = end
-        return tuple(tokens)
+    def words(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(self._surfaces))
+
+    @cached_property
+    def index(self) -> array:
+        ids = dict(zip(self.words, range(len(self.words))))
+        return array("I", list(map(ids.__getitem__, self._surfaces)))
 
     def __len__(self) -> int:
         return len(self._surfaces)

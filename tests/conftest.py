@@ -64,6 +64,21 @@ def _no_ambient_proxy(monkeypatch):
         monkeypatch.delenv(f"{scheme.upper()}_PROXY", raising=False)
 
 
+def token_rows(ds) -> list[tuple]:
+    """(surface, gold, sentence_index, token_index) of each token of a Dataset,
+    with the sentence and token positions counted from its breaks."""
+    surfaces = ds.surfaces()
+    rows = []
+    start = 0
+    for sentence_index, end in enumerate((*ds.breaks, len(ds))):
+        rows.extend(
+            (surfaces[i], ds.golds[i], sentence_index, i - start)
+            for i in range(start, end)
+        )
+        start = end
+    return rows
+
+
 def pytest_sessionfinish(session, exitstatus):
     # Only enforce the runtime budget on full-suite runs; a single slow test
     # picked with -k should not trip it.

@@ -5,6 +5,8 @@ Exit-code contract: 0 success, 1 usage, 2 data, 3 transport.
 
 import gc
 import json
+import os
+import signal
 import subprocess
 import sys
 import time
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import dravlid.cli
 from dravlid.cache import load_cache_records, make_record
 from dravlid.cli import main
 from dravlid.fixtures import golden_report_path, replay_fixture_path, smoke_corpus_path
@@ -41,6 +44,15 @@ def scripted_words(mapping):
 def write_lines(path, *lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return str(path)
+
+
+def wait_until(condition, seconds=10.0) -> bool:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
 
 
 class TestStats:
@@ -461,6 +473,67 @@ class TestClassifyLive:
                 time.sleep(0.005)
             assert server.open_connections == 0
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+class TestInterrupt:
+    """Ctrl-C ends a command with exit 130 and one stderr line, never a traceback."""
+
+    def live_args(self, corpus, server, cache):
+        return ["classify", corpus, "--task", "kn", "--backend", "live",
+                "--base-url", server.base_url, "--api-key", "k", "--cache", str(cache),
+                "--rate-limit", "0"]
+
+    def test_interrupted_run_is_exit_130_and_closes_the_transport(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        corpus = write_lines(tmp_path / "c.tsv", "hello\ten", "mane\tkn")
+
+        def interrupted(ds, config, backend, failure_policy):
+            backend.classify_words(["hello"], config)  # opens a pooled connection
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(dravlid.cli, "run_experiment", interrupted)
+        with StubChatServer(keep_alive=True) as server:
+            code = main(self.live_args(corpus, server, tmp_path / "cache.jsonl"))
+            assert code == 130
+            assert capsys.readouterr().err == "dravlid: interrupted\n"
+            assert server.connections == 1
+            assert wait_until(lambda: server.open_connections == 0)
+
+    def test_sigint_during_a_live_classify_leaves_a_loadable_cache(self, tmp_path, caplog):
+        corpus = write_lines(tmp_path / "c.tsv", *(f"w{i}\ten" for i in range(40)))
+        cache, out = tmp_path / "cache.jsonl", tmp_path / "preds.jsonl"
+
+        def slow(body):
+            time.sleep(0.1)
+            return "en"
+
+        env = dict(os.environ, PYTHONPATH=str(Path(dravlid.cli.__file__).parents[1]))
+        with StubChatServer(default_content=slow, keep_alive=True) as server:
+            argv = [*self.live_args(corpus, server, cache), "--max-workers", "2",
+                    "--out", str(out)]
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "dravlid.cli", *argv],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            )
+            try:
+                assert wait_until(lambda: server.request_count >= 2 or proc.poll() is not None)
+                proc.send_signal(signal.SIGINT)
+                _, err = proc.communicate(timeout=30)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.communicate()
+            requests = server.request_count
+
+        assert proc.returncode == 130, err
+        assert "Traceback" not in err
+        assert err == "dravlid: interrupted\n"
+        assert not out.exists()
+        records = load_cache_records(cache)
+        assert caplog.records == []  # no torn line was dropped
+        assert 1 <= len(records) <= requests < 40
+        assert {r.raw_response for r in records} == {"en"}
 
 
 class TestEvaluate:

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import token_rows
 from dravlid.corpus import (
     Dataset,
-    LabeledToken,
     compute_stats,
     detect_task,
     parse_corpus,
@@ -25,13 +25,13 @@ class TestParsing:
     def test_labeled_and_bare_lines(self):
         ds = parse_corpus("hello\ten\nmane\n", KN)
         assert len(ds) == 2
-        assert ds.tokens[0].gold is Category.ENGLISH
-        assert ds.tokens[1].gold is None
-        assert ds.tokens[1].surface == "mane"
+        assert ds.golds[0] is Category.ENGLISH
+        assert ds.golds[1] is None
+        assert ds.surfaces()[1] == "mane"
 
     def test_sentence_boundaries_reset_token_index(self):
         ds = parse_corpus("a\ten\nb\ten\n\nc\tkn\n", KN)
-        positions = [(t.sentence_index, t.token_index) for t in ds.tokens]
+        positions = [row[2:] for row in token_rows(ds)]
         assert positions == [(0, 0), (0, 1), (1, 0)]
 
     def test_comments_skipped(self):
@@ -41,11 +41,11 @@ class TestParsing:
     def test_crlf_accepted(self):
         unix = parse_corpus("a\ten\n\nb\tkn\n", KN)
         dos = parse_corpus("a\ten\r\n\r\nb\tkn\r\n", KN)
-        assert dos.tokens == unix.tokens
+        assert token_rows(dos) == token_rows(unix)
 
     def test_surface_with_space_survives(self):
         ds = parse_corpus("Taj Mahal\tlocation\n", KN)
-        assert ds.tokens[0].surface == "Taj Mahal"
+        assert ds.surfaces()[0] == "Taj Mahal"
 
     def test_surfaces_never_case_folded(self):
         ds = parse_corpus("BangaLORE\tlocation\n", KN)
@@ -66,7 +66,7 @@ class TestParsing:
     def test_tamil_codes_rejected_under_kannada(self):
         with pytest.raises(CorpusParseError):
             parse_corpus("veedu\ttm\n", KN)
-        assert parse_corpus("veedu\ttm\n", TM).tokens[0].gold is Category.DRAVIDIAN
+        assert parse_corpus("veedu\ttm\n", TM).golds[0] is Category.DRAVIDIAN
 
     @pytest.mark.parametrize("bad", ["bad\ten\textra", "bad\tzz"])
     def test_repeated_malformed_line_reports_its_first_occurrence(self, bad):
@@ -88,7 +88,7 @@ class TestParsing:
 
     def test_whitespace_only_line_is_sentence_break(self):
         ds = parse_corpus("a\ten\n   \nb\ten\n", KN)
-        assert ds.tokens[1].sentence_index == 1
+        assert token_rows(ds)[1][2] == 1
 
 
 class TestDataset:
@@ -100,11 +100,11 @@ class TestDataset:
     def test_built_from_columns(self):
         ds = Dataset(KN, ["a", "b", "c"], [Category.ENGLISH, None, Category.SYMBOL], [0, 2, 2])
         assert ds.surfaces() == ["a", "b", "c"]
-        assert ds.tokens == (
-            LabeledToken("a", Category.ENGLISH, 1, 0),
-            LabeledToken("b", None, 1, 1),
-            LabeledToken("c", Category.SYMBOL, 3, 0),
-        )
+        assert token_rows(ds) == [
+            ("a", Category.ENGLISH, 1, 0),
+            ("b", None, 1, 1),
+            ("c", Category.SYMBOL, 3, 0),
+        ]
         assert serialize_corpus(ds) == "\na\ten\nb\n\n\nc\tsym\n"
 
     def test_column_lengths_must_match(self):
@@ -129,7 +129,7 @@ class TestRoundTrip:
     def test_smoke_corpus_round_trip_identity(self, task):
         ds = parse_corpus_file(smoke_corpus_path(task), task)
         again = _reparse(ds, task)
-        assert again.tokens == ds.tokens
+        assert token_rows(again) == token_rows(ds)
         # Serialization itself is a fixed point after one pass.
         assert serialize_corpus(again) == serialize_corpus(ds)
 
@@ -164,7 +164,7 @@ class TestRoundTrip:
         text = "\n".join(lines) + "\n"
         ds = parse_corpus(text, KN)
         again = _reparse(ds, KN)
-        assert again.tokens == ds.tokens
+        assert token_rows(again) == token_rows(ds)
 
 
 class TestStats:

@@ -7,6 +7,7 @@ order. These tests count that work and check that every per-token output,
 count and error is what one call per token would give.
 """
 
+import io
 import json
 
 import pytest
@@ -17,13 +18,14 @@ import dravlid.backends
 import dravlid.classifiers
 import dravlid.corpus
 from dravlid.backends import BaselineBackend, LiveBackend, RawPrediction, ReplayBackend
+from conftest import token_rows
 from dravlid.baseline import classify_baseline, default_lexicons
 from dravlid.cache import ResponseCache, make_record
 from dravlid.classifiers import WordPrediction, resolve_predictions
 from dravlid.corpus import parse_corpus
 from dravlid.errors import UnparseableResponseError
 from dravlid.prompting import ExperimentConfig, render_prompt
-from dravlid.runner import predictions_to_jsonl, read_predictions_jsonl, run_experiment
+from dravlid.runner import read_predictions_jsonl, run_experiment, write_predictions
 from dravlid.taxonomy import Category, TaskLanguage, code_for, parse_gold_label, valid_codes
 
 KN = TaskLanguage.KANNADA
@@ -114,9 +116,7 @@ def test_columnar_parse_matches_per_line_reference(pool, picks):
     ds = parse_corpus(text, KN)
     expected = reference_parse(text, KN)
 
-    assert [
-        (t.surface, t.gold, t.sentence_index, t.token_index) for t in ds.tokens
-    ] == expected
+    assert token_rows(ds) == expected
     assert len(ds) == len(expected)
     assert ds.surfaces() == [row[0] for row in expected]
     assert list(ds.golds) == [row[1] for row in expected]
@@ -221,7 +221,8 @@ _TEXT = st.text(
 
 
 @st.composite
-def predictions_with_repeats(draw):
+def predictions_and_index(draw):
+    """A pool of predictions and a token index into it, with repeats."""
     pool = draw(
         st.lists(
             st.builds(
@@ -238,16 +239,20 @@ def predictions_with_repeats(draw):
             max_size=5,
         )
     )
-    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+    index = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=20))
+    return pool, index
 
 
-@given(predictions=predictions_with_repeats())
-def test_jsonl_round_trip_matches_per_token_reference(predictions, tmp_path_factory):
-    text = predictions_to_jsonl(predictions)
-    assert text == reference_jsonl(predictions)
+@given(pool_and_index=predictions_and_index())
+def test_jsonl_round_trip_matches_per_token_reference(pool_and_index, tmp_path_factory):
+    pool, index = pool_and_index
+    predictions = [pool[i] for i in index]
+    out = io.BytesIO()
+    write_predictions(pool, index, out)
+    assert out.getvalue() == reference_jsonl(predictions).encode("utf-8")
 
     path = tmp_path_factory.mktemp("jsonl") / "predictions.jsonl"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(out.getvalue())
     words, categories = read_predictions_jsonl(path, KN)
     assert words == [p.word for p in predictions]
     assert categories == [p.category for p in predictions]

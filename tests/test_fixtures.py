@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from conftest import token_rows
 from dravlid.backends import ReplayBackend
 from dravlid.cache import load_cache_records
 from dravlid.corpus import parse_corpus_file
@@ -38,17 +39,17 @@ class TestSmokeCorpora:
     def test_size_and_full_labeling(self, task):
         ds = parse_corpus_file(smoke_corpus_path(task), task)
         assert len(ds) == 30
-        assert all(token.gold is not None for token in ds.tokens)
+        assert all(gold is not None for gold in ds.golds)
 
     def test_every_category_has_at_least_three_examples(self, task):
         ds = parse_corpus_file(smoke_corpus_path(task), task)
         for cat in Category:
-            count = sum(1 for token in ds.tokens if token.gold is cat)
+            count = sum(1 for gold in ds.golds if gold is cat)
             assert count >= 3, cat
 
     def test_multiple_sentences(self, task):
         ds = parse_corpus_file(smoke_corpus_path(task), task)
-        assert len({token.sentence_index for token in ds.tokens}) >= 4
+        assert len({row[2] for row in token_rows(ds)}) >= 4
 
 
 @pytest.mark.parametrize("task", TASKS)

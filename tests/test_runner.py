@@ -1,5 +1,6 @@
 """Experiment orchestration: run, manifest bookkeeping, evaluation."""
 
+import io
 import json
 
 import pytest
@@ -13,9 +14,9 @@ from dravlid.metrics import REPORT_ROWS, report_to_json
 from dravlid.prompting import ExperimentConfig, render_prompt, sweep_configs
 from dravlid.runner import (
     evaluate_run,
-    predictions_to_jsonl,
     read_predictions_jsonl,
     run_experiment,
+    write_predictions,
     write_predictions_jsonl,
 )
 from dravlid.taxonomy import Category, TaskLanguage
@@ -64,7 +65,7 @@ class TestRunExperiment:
         backend = ReplayBackend.from_jsonl(replay_fixture_path(TM))
         result = run_experiment(ds, ExperimentConfig(task=TM), backend)
         assert len(result.predictions) == len(ds)
-        assert [p.word for p in result.word_predictions] == ds.surfaces()
+        assert [result.distinct[i].word for i in result.index] == ds.surfaces()
 
     def test_empty_dataset_rejected(self):
         ds = parse_corpus("\n", KN)
@@ -204,7 +205,7 @@ class TestPredictionsFile:
         ds, config, backend = three_token_setup()
         result = run_experiment(ds, config, backend)
         path = tmp_path / "preds.jsonl"
-        write_predictions_jsonl(result.word_predictions, path)
+        write_predictions_jsonl(result, path)
         words, categories = read_predictions_jsonl(path, KN)
         assert words == ["a", "b", "c"]
         assert categories == list(result.predictions)
@@ -214,7 +215,9 @@ class TestPredictionsFile:
     def test_jsonl_lines_have_contract_keys(self):
         ds, config, backend = three_token_setup()
         result = run_experiment(ds, config, backend)
-        for line in predictions_to_jsonl(result.word_predictions).splitlines():
+        out = io.BytesIO()
+        write_predictions(result.distinct, result.index, out)
+        for line in out.getvalue().splitlines():
             assert set(json.loads(line)) == {"word", "raw_response", "category_code"}
 
     def test_bad_line_reports_line_number(self, tmp_path):
