@@ -62,9 +62,10 @@ class LexiconSet:
 
 
 def load_wordlist(path: str | Path) -> list[str]:
-    """One entry per line, UTF-8, '#' comments and blank lines skipped."""
+    """One entry per line, UTF-8 (a leading BOM is dropped), '#' comments and
+    blank lines skipped."""
     entries = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             entries.append(line)

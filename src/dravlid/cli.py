@@ -107,7 +107,7 @@ def _temperature_list(text: str) -> tuple[float, ...]:
 
 def _read_corpus_arg(path: str, task_flag: str | None) -> Dataset:
     with _reading(path):
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # drops a leading BOM
         task = parse_task(task_flag) if task_flag else detect_task(text)
         return parse_corpus(text, task, source_path=path)
 

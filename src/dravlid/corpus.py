@@ -1,14 +1,15 @@
 """Tab-separated token/label corpus parsing, serialization, and statistics.
 
-File format: one `<word>\\t<code>` or bare `<word>` per line, UTF-8, LF or
-CRLF; a blank line is a sentence boundary; lines starting with `#` are
-comments. Surfaces are never case-folded or trimmed beyond the line
-terminator, so symbol tokens survive byte-exact.
+File format: one `<word>\\t<code>` or bare `<word>` per line, UTF-8 (a file's
+leading byte-order mark is dropped), LF or CRLF; a blank line is a sentence
+boundary; lines starting with `#` are comments. Surfaces are never
+case-folded or trimmed beyond the line terminator, so symbol tokens survive
+byte-exact.
 
-A corpus repeats a small vocabulary, so the parser validates each distinct
-line once and builds the Dataset from columns (surfaces, gold labels,
-sentence breaks). A run factorizes the surfaces once more, into a table of
-distinct words and an index column, and works per distinct word from there.
+A corpus repeats a small vocabulary, so read_lines (the predictions file's
+reader too) decodes each distinct line once into columns: surfaces, gold
+labels, sentence breaks. A run factorizes the surfaces once more, into a
+table of distinct words and an index column, and works per distinct word.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from dravlid.errors import CorpusParseError, UnknownLabelCodeError
 from dravlid.taxonomy import Category, TaskLanguage, code_for, parse_gold_label, valid_codes
@@ -90,23 +91,46 @@ class DatasetStats:
     unlabeled: int = 0
 
 
-# What _parse_line makes of a line that holds no token.
-_BREAK = "sentence break"
-_COMMENT = "comment"
+# What a line decoder returns for a line that holds no token.
+BREAK = "sentence break"
+SKIP = "no token"
+
+
+def read_lines(
+    lines: Iterable[str], decode: Callable[[str, int], tuple[str, object] | str]
+) -> tuple[list[str], list, list[int]]:
+    """Surfaces, labels and sentence-break offsets of a token file.
+
+    `decode(line, line_number)` gives a (surface, label) pair, BREAK or SKIP,
+    or raises naming the 1-based line number. Each distinct line is decoded
+    once, so a bad line raises where it first occurs.
+    """
+    decoded: dict[str, tuple[str, object] | str] = {}
+    surfaces, labels, breaks = [], [], []
+    for line_number, line in enumerate(lines, start=1):
+        entry = decoded.get(line)
+        if entry is None:
+            entry = decoded[line] = decode(line, line_number)
+        if entry is BREAK:
+            breaks.append(len(surfaces))
+        elif entry is not SKIP:
+            surfaces.append(entry[0])
+            labels.append(entry[1])
+    return surfaces, labels, breaks
 
 
 def _parse_line(
     line: str, task: TaskLanguage, line_number: int
 ) -> tuple[str, Category | None] | str:
-    """(surface, gold) of one corpus line, or _BREAK or _COMMENT.
+    """(surface, gold) of one corpus line, BREAK if blank, SKIP if a comment.
 
     Raises CorpusParseError naming line_number if the line is malformed.
     """
     line = line.rstrip("\n").rstrip("\r")
     if not line.strip():
-        return _BREAK
+        return BREAK
     if line.startswith("#"):
-        return _COMMENT
+        return SKIP
 
     fields = line.split("\t")
     if len(fields) > 2:
@@ -133,36 +157,21 @@ def parse_corpus(
     Tokens appear in file order. A labeled line yields a gold token, a bare
     line an unlabeled one; a blank line increments the sentence index and
     resets the token index. Raises CorpusParseError with the 1-based line
-    number on malformed lines or unknown label codes.
-
-    Each distinct line is parsed once; a bad line raises where it first
-    occurs, which is the first bad line of the file.
+    number of the first malformed line or unknown label code.
     """
     # Split on LF only (the documented format): splitlines() would also
     # break on control characters that are legal inside a surface.
     lines = text.split("\n") if isinstance(text, str) else text
-    parsed: dict[str, tuple[str, Category | None] | str] = {}
-    surfaces: list[str] = []
-    golds: list[Category | None] = []
-    breaks: list[int] = []
-
-    for line_number, line in enumerate(lines, start=1):
-        entry = parsed.get(line)
-        if entry is None:
-            entry = parsed[line] = _parse_line(line, task, line_number)
-        if entry is _BREAK:
-            breaks.append(len(surfaces))
-        elif entry is not _COMMENT:
-            surfaces.append(entry[0])
-            golds.append(entry[1])
-
+    surfaces, golds, breaks = read_lines(
+        lines, lambda line, line_number: _parse_line(line, task, line_number)
+    )
     return Dataset(task, surfaces, golds, breaks, source_path)
 
 
 def parse_corpus_file(path: str | Path, task: TaskLanguage) -> Dataset:
     path = Path(path)
     return parse_corpus(
-        path.read_text(encoding="utf-8"), task, source_path=str(path)
+        path.read_text(encoding="utf-8-sig"), task, source_path=str(path)
     )
 
 

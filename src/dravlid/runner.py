@@ -16,7 +16,7 @@ from typing import BinaryIO, Sequence
 from dravlid.backends import Backend, LiveBackend
 from dravlid.cache import utc_now_rfc3339
 from dravlid.classifiers import WordPrediction, check_policy, resolve_predictions
-from dravlid.corpus import Dataset
+from dravlid.corpus import SKIP, Dataset, read_lines
 from dravlid.errors import CorpusParseError, UnknownLabelCodeError
 from dravlid.metrics import MetricReport, evaluate
 from dravlid.prompting import ExperimentConfig
@@ -170,31 +170,23 @@ def read_predictions_jsonl(
 ) -> tuple[list[str], list[Category]]:
     """Load a predictions file as two columns: words and their categories.
 
-    Blank lines are skipped. Each distinct line is decoded once, and a bad
-    line is a CorpusParseError naming its first occurrence.
+    Blank lines are skipped. A bad line is a CorpusParseError naming its
+    first occurrence.
     """
-    decoded: dict[str, tuple[str, Category] | None] = {}
-    words: list[str] = []
-    categories: list[Category] = []
     with Path(path).open(encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            fields = decoded.get(line)
-            if fields is None:
-                fields = decoded[line] = _decode_prediction_line(line, line_number, task)
-                if fields is None:
-                    continue
-            words.append(fields[0])
-            categories.append(fields[1])
+        words, categories, _ = read_lines(
+            fh, lambda line, line_number: _decode_prediction_line(line, line_number, task)
+        )
     return words, categories
 
 
 def _decode_prediction_line(
     line: str, line_number: int, task: TaskLanguage
-) -> tuple[str, Category] | None:
-    """(word, category) of one predictions line; None if blank."""
+) -> tuple[str, Category] | str:
+    """(word, category) of one predictions line; SKIP if blank."""
     line = line.strip()
     if not line:
-        return None
+        return SKIP
     try:
         data, end = _raw_decode(line)
         if end != len(line):

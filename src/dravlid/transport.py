@@ -3,7 +3,9 @@
 Wire contract: POST {base_url}/v1/chat/completions with a bearer token and
 body {model, temperature, max_tokens, messages=[{role: "user", content}]};
 the reply is read verbatim from choices[0].message.content. Configuration
-falls back to the LI_API_BASE and LI_API_KEY environment variables.
+falls back to the LI_API_BASE and LI_API_KEY environment variables. The base
+URL may not carry user info, a query or a fragment, and the key must be
+printable ASCII; neither error message shows a secret.
 
 Requests go out on pooled standard-library keep-alive connections. HTTPS
 verifies against the system trust store (SSL_CERT_FILE and SSL_CERT_DIR
@@ -153,20 +155,38 @@ class ChatTransport:
             raise ValueError(
                 f"no endpoint configured: pass base_url or set {ENV_API_BASE}"
             )
+        key_source = "api_key" if api_key else ENV_API_KEY
         api_key = api_key or os.environ.get(ENV_API_KEY)
         if not api_key:
             raise ValueError(
                 f"no credentials configured: pass api_key or set {ENV_API_KEY}"
             )
+        if not (api_key.isascii() and api_key.isprintable()):
+            # Never echo the key: it is a secret.
+            raise ValueError(
+                f"{key_source} holds a control or non-ASCII character; "
+                "a bearer token must be printable ASCII"
+            )
         parts = urllib.parse.urlsplit(base_url)
+        # Any of user info, query and fragment may hold a secret: never echo them.
+        shown = repr(parts._replace(
+            netloc=parts.netloc.rpartition("@")[2], query="", fragment=""
+        ).geturl())
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(
-                f"base URL must start with http:// or https:// and name a host: {base_url!r}"
+                f"base URL must start with http:// or https:// and name a host: {shown}"
             )
         try:
             parts.port  # raises ValueError when it is not a number in range
         except ValueError as exc:
-            raise ValueError(f"base URL {base_url!r}: {exc}") from None
+            raise ValueError(f"base URL {shown}: {exc}") from None
+        for part, present in (
+            ("user info", "@" in parts.netloc),
+            ("a query", parts.query),
+            ("a fragment", parts.fragment),
+        ):
+            if present:
+                raise ValueError(f"base URL {shown} must not hold {part}")
         self._open_connection, self._target, proxy_headers = _route(
             parts, parts.path.rstrip("/") + "/v1/chat/completions", timeout
         )
@@ -294,15 +314,14 @@ def _route(
     https = parts.scheme == "https"
     # An explicit port, so that http.client never reads one out of an IPv6 host.
     host, port = parts.hostname, parts.port or (443 if https else 80)
-    authority = parts.netloc.rpartition("@")[2]
-    proxy = _proxy_for(parts.scheme, authority)
+    proxy = _proxy_for(parts.scheme, parts.netloc)
     if proxy is None:
         address, proxy_headers = (host, port), {}
     else:
         address, proxy_headers = proxy
     if not https:
         # A proxy takes the absolute form, and http.client sends Host from it.
-        target = f"http://{authority}{path}" if proxy else path
+        target = f"http://{parts.netloc}{path}" if proxy else path
         return (
             lambda: http.client.HTTPConnection(*address, timeout=timeout),
             target,

@@ -162,6 +162,11 @@ class TestLexicons:
         path.write_text("# heading\n\nalpha\n  beta  \n# tail\n", encoding="utf-8")
         assert load_wordlist(path) == ["alpha", "beta"]
 
+    def test_load_wordlist_drops_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "list.txt"
+        path.write_bytes(b"\xef\xbb\xbfalpha\nbeta\n")
+        assert load_wordlist(path) == ["alpha", "beta"]
+
     def test_lexicons_from_dir(self, tmp_path):
         files = {
             "english_words.txt": "book\n",

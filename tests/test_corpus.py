@@ -86,6 +86,15 @@ class TestParsing:
         assert excinfo.value.line_number == 3
         assert "line 3" in str(excinfo.value)
 
+    def test_file_with_byte_order_mark_parses_like_one_without(self, tmp_path):
+        text = "# header\nhello\ten\n\nmane\n"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert token_rows(parse_corpus_file(marked, KN)) == token_rows(
+            parse_corpus_file(plain, KN)
+        )
+
     def test_whitespace_only_line_is_sentence_break(self):
         ds = parse_corpus("a\ten\n   \nb\ten\n", KN)
         assert token_rows(ds)[1][2] == 1

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import dravlid.backends
 import dravlid.classifiers
 import dravlid.corpus
+import dravlid.runner
 from dravlid.backends import BaselineBackend, LiveBackend, RawPrediction, ReplayBackend
 from conftest import token_rows
 from dravlid.baseline import classify_baseline, default_lexicons
@@ -55,6 +56,19 @@ def test_baseline_classifies_each_distinct_word_once(monkeypatch):
         RawPrediction(w, code_for(classify_baseline(w, KN, lex), KN), False)
         for w in WORDS
     ]
+
+
+def test_predictions_read_decodes_each_distinct_line_once(monkeypatch, tmp_path):
+    line = json.dumps({"category_code": "kn", "raw_response": "kn", "word": "mane"})
+    path = tmp_path / "predictions.jsonl"
+    path.write_text(f"{line}\n\n{line}\n\n\n", encoding="utf-8")
+    calls = counting(monkeypatch, dravlid.runner, "_decode_prediction_line")
+    words, categories = read_predictions_jsonl(path, KN)
+
+    # Blank lines included: the repeated blank line is decoded once too.
+    assert [args[0] for args in calls] == [f"{line}\n", "\n"]
+    assert words == ["mane", "mane"]
+    assert categories == [Category.DRAVIDIAN, Category.DRAVIDIAN]
 
 
 def test_parse_maps_each_distinct_labelled_line_once(monkeypatch):
