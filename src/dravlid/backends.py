@@ -15,7 +15,14 @@ from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 from dravlid.baseline import LexiconSet, classify_baseline, default_lexicons
-from dravlid.cache import CacheRecord, ResponseCache, cache_key, load_cache_records, make_record
+from dravlid.cache import (
+    CacheRecord,
+    ResponseCache,
+    cache_key,
+    load_cache_records,
+    temperature_text,
+    utc_now_rfc3339,
+)
 from dravlid.errors import FixtureMissError
 from dravlid.prompting import ExperimentConfig, render_prompt
 from dravlid.taxonomy import code_for
@@ -67,21 +74,22 @@ class LiveBackend:
     ) -> list[RawPrediction]:
         """Classify a batch; results come back in input order.
 
-        Each distinct word is rendered, keyed and looked up once. Cache
-        hits are answered in the calling thread; only misses go to _miss,
-        at most max_workers at a time. Later occurrences of a word count
-        as cache hits.
+        Each distinct word is rendered and looked up once, by its request
+        identity (model, temperature text, prompt), so a hit needs no key.
+        Cache hits are answered in the calling thread; only misses go to
+        _miss, at most max_workers at a time. Later occurrences of a word
+        count as cache hits.
         """
         answers: dict[str, RawPrediction] = {}
         misses: list[tuple[str, str]] = []
+        model_id, temperature = config.model_id, temperature_text(config.temperature)
         for word in dict.fromkeys(words):
             prompt = render_prompt(word, config.task)
-            key = cache_key(config.model_id, config.temperature, prompt)
-            record = self.cache.get(key)
-            if record is None:
+            reply = self.cache.get(model_id, temperature, prompt)
+            if reply is None:
                 misses.append((word, prompt))
             else:
-                answers[word] = RawPrediction(word, record.raw_response, True)
+                answers[word] = RawPrediction(word, reply, True)
 
         if len(misses) > 1 and self.max_workers > 1:
             with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
@@ -109,10 +117,13 @@ class LiveBackend:
                 user_message=prompt,
             )
         )
-        canonical, inserted = self.cache.put_if_absent(
-            make_record(config.model_id, config.temperature, prompt, raw)
-        )
-        return canonical.raw_response, not inserted
+        # Keyed through this module's cache_key, where the benchmark's tracer
+        # counts the keys a run computes: now only those of its misses.
+        reply, inserted = self.cache.put_if_absent(CacheRecord(
+            cache_key(config.model_id, config.temperature, prompt),
+            config.model_id, config.temperature, prompt, raw, utc_now_rfc3339(),
+        ))
+        return reply, not inserted
 
 
 class ReplayBackend(LiveBackend):

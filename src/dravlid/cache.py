@@ -1,9 +1,17 @@
-"""Persistent response cache: append-only JSONL keyed by request identity.
+"""Persistent response cache: append-only JSONL of model replies.
 
-The cache key is a SHA-256 over (model_id, temperature, prompt) rendered as
-canonical JSON, so identical requests hash identically across runs and
-platforms. Temperature is part of the key, always as a float: the same word
-at 0.7 and 0.9 is two experiments, while 1 and 1.0 are one.
+Each record holds its request, (model_id, temperature, prompt), and a
+`cache_key`: a SHA-256 over that request rendered as canonical JSON, so
+identical requests hash identically across runs and platforms. Temperature
+is part of the request, always as a float: the same word at 0.7 and 0.9 is
+two experiments, while 1 and 1.0 are one.
+
+A record is found by its request fields, never by its stored hash: the
+in-memory index maps the request identity, (model_id, temperature text,
+prompt), to the reply. The identity holds exactly what the hash covers, so
+two requests have one identity when they have one key, and a hit needs
+neither JSON nor a hash. The hash is still written with every record, so
+the file format does not change.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import os
 import threading
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
 
 from dravlid.errors import CacheReadError, CacheWriteError
@@ -32,16 +41,32 @@ def cache_key(model_id: str, temperature: float, prompt: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def temperature_text(temperature: float) -> str:
+    """The temperature as the request identity holds it: the float's repr,
+    which is its JSON text in cache_key for every finite value, so -0.0 and
+    0.0 stay apart as their keys do, while 1 and 1.0 are one."""
+    return repr(float(temperature))
+
+
+def request_identity(model_id: str, temperature: float, prompt: str) -> tuple[str, str, str]:
+    """What cache_key hashes, as a tuple: equal exactly when the keys are."""
+    return model_id, temperature_text(temperature), prompt
+
+
 def utc_now_rfc3339() -> str:
     return datetime.now(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
+_FIELDS = ("cache_key", "model_id", "temperature", "prompt", "raw_response", "created_at")
 _STRING_FIELDS = ("cache_key", "model_id", "prompt", "raw_response", "created_at")
+_get_fields = itemgetter(*_FIELDS)
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_WHITESPACE = " \t\n\r"
 
 
 @dataclass(frozen=True)
 class CacheRecord:
-    """One persisted model reply, identified by its request hash."""
+    """One persisted model reply and the request it answers."""
 
     cache_key: str
     model_id: str
@@ -55,28 +80,52 @@ class CacheRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "CacheRecord":
-        """Parse one line: ValueError if it is not JSON, TypeError if it is
-        not an object or a field has the wrong type, KeyError if a field
-        is missing."""
-        data = json.loads(line)
-        if not isinstance(data, dict):
-            raise TypeError("not a JSON object")
-        record = cls(
-            cache_key=data["cache_key"],
-            model_id=data["model_id"],
-            temperature=data["temperature"],
-            prompt=data["prompt"],
-            raw_response=data["raw_response"],
-            created_at=data["created_at"],
+        """Parse one line: ValueError or RecursionError if it is not JSON,
+        CacheReadError (naming no file) if it is JSON but not a record."""
+        return cls(*_decode_record(line))
+
+
+def _decode_record(line: str) -> tuple:
+    """The six fields of one cache line, in CacheRecord's order.
+
+    ValueError or RecursionError if the line is not JSON; CacheReadError,
+    naming no file, if it is JSON but not a record: not an object, a field
+    missing or of the wrong type, a temperature no float holds, or a reply
+    that is not valid Unicode (a lone surrogate) and so could not be written.
+    """
+    if line[:1] in _JSON_WHITESPACE or line[0] == "\ufeff":
+        data = json.loads(line)  # its own whitespace scans and BOM message
+    else:
+        # json.loads without its whitespace scans, for a line that starts
+        # with its value; the same value and the same errors.
+        data, end = _raw_decode(line)
+        rest = line[end:].lstrip(_JSON_WHITESPACE)
+        if rest:
+            raise json.JSONDecodeError("Extra data", line, len(line) - len(rest))
+    if not isinstance(data, dict):
+        raise CacheReadError("not a JSON object")
+    try:
+        fields = _get_fields(data)
+    except KeyError as exc:
+        raise CacheReadError(f"missing field {exc}") from None
+    key, model_id, temperature, prompt, raw, created_at = fields
+    for name, value in zip(_STRING_FIELDS, (key, model_id, prompt, raw, created_at)):
+        if not isinstance(value, str):
+            raise CacheReadError(f"field {name!r} is {type(value).__name__}, not a string")
+    if isinstance(temperature, bool) or not isinstance(temperature, (int, float)):
+        raise CacheReadError(
+            f"field 'temperature' is {type(temperature).__name__}, not a number"
         )
-        for name in _STRING_FIELDS:
-            value = getattr(record, name)
-            if not isinstance(value, str):
-                raise TypeError(f"field {name!r} is {type(value).__name__}, not a string")
-        t = record.temperature
-        if isinstance(t, bool) or not isinstance(t, (int, float)):
-            raise TypeError(f"field 'temperature' is {type(t).__name__}, not a number")
-        return record
+    try:
+        float(temperature)
+    except OverflowError as exc:
+        raise CacheReadError(f"field 'temperature' does not fit a float: {exc}") from None
+    if not raw.isascii():
+        try:
+            raw.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CacheReadError(f"field 'raw_response' is not valid Unicode: {exc}") from None
+    return fields
 
 
 def make_record(
@@ -97,18 +146,19 @@ def make_record(
 
 
 class ResponseCache:
-    """In-memory key index over an append-only JSONL file.
+    """In-memory index from request identity to reply, over an append-only
+    JSONL file.
 
-    Reads are lock-free; appends go through a single lock so each key is
-    persisted at most once. The first record wins for a key: one sampled
-    reply per request is the run's truth. Re-sampling requires cache_bust,
-    which truncates the file up front.
+    Reads are lock-free; appends go through a single lock so each request
+    is persisted at most once. The first record wins for a request: one
+    sampled reply per request is the run's truth. Re-sampling requires
+    cache_bust, which truncates the file up front.
     """
 
     def __init__(self, path: str | Path | None, cache_bust: bool = False):
         self._path = Path(path) if path is not None else None
         self._lock = threading.Lock()
-        self._records: dict[str, CacheRecord] = {}
+        self._replies: dict[tuple[str, str, str], str] = {}
         # Set when the file's last line has no newline: (bytes to keep, text
         # to write first), so that the first append starts on a fresh line.
         self._mend: tuple[int, str] | None = None
@@ -117,23 +167,27 @@ class ResponseCache:
                 self._path.write_text("", encoding="utf-8")
             else:
                 records, self._mend = _read_cache_file(self._path)
-                for record in records:
-                    self._records.setdefault(record.cache_key, record)
+                add = self._replies.setdefault
+                for _, model_id, temperature, prompt, raw, _ in records:
+                    add(request_identity(model_id, temperature, prompt), raw)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._replies)
 
-    def get(self, key: str) -> CacheRecord | None:
-        return self._records.get(key)
+    def get(self, model_id: str, temperature: str, prompt: str) -> str | None:
+        """The cached reply to a request, or None; temperature is its
+        temperature_text."""
+        return self._replies.get((model_id, temperature, prompt))
 
-    def put_if_absent(self, record: CacheRecord) -> tuple[CacheRecord, bool]:
-        """Persist a record unless its key is already cached.
+    def put_if_absent(self, record: CacheRecord) -> tuple[str, bool]:
+        """Persist a record unless its request is already cached.
 
-        Returns (canonical_record, inserted). The canonical record is the
-        pre-existing one when the key was already present.
+        Returns (reply, inserted). The reply is the cached one when the
+        request was already present.
         """
+        identity = request_identity(record.model_id, record.temperature, record.prompt)
         with self._lock:
-            existing = self._records.get(record.cache_key)
+            existing = self._replies.get(identity)
             if existing is not None:
                 return existing, False
             if self._path is not None:
@@ -144,8 +198,8 @@ class ResponseCache:
                     raise CacheWriteError(
                         f"failed to append cache record to {self._path}: {exc}"
                     ) from exc
-            self._records[record.cache_key] = record
-            return record, True
+            self._replies[identity] = record.raw_response
+            return record.raw_response, True
 
     def _append(self, data: bytes) -> None:
         """Write data with one append, after mending a last line that has no
@@ -182,11 +236,12 @@ def load_cache_records(path: str | Path) -> list[CacheRecord]:
     line that is not a record raises CacheReadError naming the file and
     the 1-based line.
     """
-    return _read_cache_file(Path(path))[0]
+    return [CacheRecord(*fields) for fields in _read_cache_file(Path(path))[0]]
 
 
-def _read_cache_file(path: Path) -> tuple[list[CacheRecord], tuple[int, str] | None]:
-    """The records, and how to mend a last line that has no newline."""
+def _read_cache_file(path: Path) -> tuple[list[tuple], tuple[int, str] | None]:
+    """The fields of each record, and how to mend a last line that has no
+    newline."""
     records = []
     with path.open("rb") as fh:
         line = b""
@@ -194,17 +249,15 @@ def _read_cache_file(path: Path) -> tuple[list[CacheRecord], tuple[int, str] | N
             if not line.strip():
                 continue
             try:
-                records.append(CacheRecord.from_json_line(line.decode("utf-8")))
-            except ValueError as exc:  # not UTF-8 or not JSON
+                records.append(_decode_record(line.decode("utf-8")))
+            except (ValueError, RecursionError) as exc:  # not UTF-8 or not JSON
                 if line.endswith(b"\n"):
                     raise CacheReadError(f"{path} line {number}: not JSON: {exc}") from None
                 _log.warning("%s line %d: dropped a torn last line (not JSON, no newline)",
                              path, number)
                 return records, (fh.tell() - len(line), "")
-            except TypeError as exc:
+            except CacheReadError as exc:
                 raise CacheReadError(f"{path} line {number}: {exc}") from None
-            except KeyError as exc:
-                raise CacheReadError(f"{path} line {number}: missing field {exc}") from None
         if line and not line.endswith(b"\n"):
             return records, (fh.tell(), "\n")
     return records, None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
@@ -81,11 +82,11 @@ def _flag_values():
 
 @contextmanager
 def _reading(path):
-    """Name the file when its bytes are not UTF-8 or not JSON, or when one of
-    its corpus or predictions lines is bad."""
+    """Name the file when its bytes are not UTF-8 or not JSON (nested too
+    deep included), or when one of its corpus or predictions lines is bad."""
     try:
         yield
-    except (ValueError, CorpusParseError) as exc:
+    except (ValueError, RecursionError, CorpusParseError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -342,9 +343,20 @@ def cmd_report(args: argparse.Namespace) -> int:
         bad = [key for _, key in REPORT_ROWS if type(data.get(key)) not in (int, float)]
         if bad:
             raise ValueError(f"{path} has no numeric value for: {', '.join(bad)}")
+        infinite = [key for _, key in REPORT_ROWS if not _finite(data[key])]
+        if infinite:
+            raise ValueError(f"{path} has a non-finite value for: {', '.join(infinite)}")
         dicts.append(data)
     sys.stdout.write(report_dicts_to_markdown(dicts))
     return EXIT_OK
+
+
+def _finite(value: int | float) -> bool:
+    """Whether value is a finite float, or an int that converts to one."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def build_parser() -> argparse.ArgumentParser:

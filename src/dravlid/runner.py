@@ -199,7 +199,8 @@ def _decode_prediction_line(
         if not isinstance(code, str):
             raise TypeError(f"category_code must be a string, got {code!r}")
         return word, parse_gold_label(code, task)
-    except (json.JSONDecodeError, KeyError, TypeError, UnknownLabelCodeError) as exc:
+    # ValueError: not JSON, or an integer past the digit limit.
+    except (ValueError, RecursionError, KeyError, TypeError, UnknownLabelCodeError) as exc:
         raise CorpusParseError(
             f"bad predictions line: {exc}", line_number=line_number
         ) from None

@@ -167,7 +167,12 @@ class ChatTransport:
                 f"{key_source} holds a control or non-ASCII character; "
                 "a bearer token must be printable ASCII"
             )
-        parts = urllib.parse.urlsplit(base_url)
+        try:
+            parts = urllib.parse.urlsplit(base_url)
+        except ValueError as exc:
+            # urlsplit's other message quotes the netloc, user info and all.
+            reason = str(exc) if "IPv6" in str(exc) else "NFKC normalization changes its host"
+            raise ValueError(f"base URL is not a valid URL: {reason}") from None
         # Any of user info, query and fragment may hold a secret: never echo them.
         shown = repr(parts._replace(
             netloc=parts.netloc.rpartition("@")[2], query="", fragment=""
@@ -380,7 +385,7 @@ def _proxy_credentials(parts: urllib.parse.SplitResult) -> dict:
 def _extract_content(body: bytes) -> str:
     try:
         data = json.loads(body)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ResponseFormatError(f"response body is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ResponseFormatError("response JSON is not an object")
@@ -395,5 +400,12 @@ def _extract_content(body: bytes) -> str:
         ) from None
     if not isinstance(content, str):
         raise ResponseFormatError("choices[0].message.content is not a string")
+    if not content.isascii():
+        try:
+            content.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate; no file could hold it
+            raise ResponseFormatError(
+                f"choices[0].message.content is not valid Unicode: {exc}"
+            ) from None
     return content
 

@@ -17,6 +17,7 @@ import warnings
 import pytest
 from stub_server import StubChatServer, content_reply
 
+import dravlid.backends
 from dravlid.backends import BaselineBackend, LiveBackend, ReplayBackend
 from dravlid.cache import ResponseCache, make_record
 from dravlid.errors import FixtureMissError, ResponseFormatError, TransportError
@@ -647,6 +648,23 @@ class TestLiveBackend:
     def test_invalid_max_workers(self, tmp_path):
         with pytest.raises(ValueError):
             LiveBackend(ResponseCache(None), object(), max_workers=0)
+
+    def test_hit_makes_no_cache_key_call(self, tmp_path, monkeypatch):
+        keyed = []
+        real_key = dravlid.backends.cache_key
+        monkeypatch.setattr(dravlid.backends, "cache_key",
+                            lambda *request: keyed.append(request) or real_key(*request))
+        config = ExperimentConfig(task=KN, temperature=0.8)
+        with echo_server() as server:
+            backend = LiveBackend(ResponseCache(tmp_path / "c.jsonl"), make_transport(server))
+            backend.classify_words(["mane", "hello"], config)
+            assert len(keyed) == 2  # each miss's record carries its key
+            keyed.clear()
+            again = backend.classify_words(["hello", "mane", "hello"], config)
+            assert server.request_count == 2
+        assert [p.raw_response for p in again] == ["reply:hello", "reply:mane", "reply:hello"]
+        assert all(p.from_cache for p in again)
+        assert keyed == []
 
 
 class TestReplayBackend:

@@ -15,6 +15,7 @@ from dravlid.cache import (
     cache_key,
     load_cache_records,
     make_record,
+    request_identity,
     utc_now_rfc3339,
 )
 from dravlid.errors import CacheReadError, CacheWriteError
@@ -24,6 +25,10 @@ def record(prompt="The word is x.", response="en", temp=0.7) -> CacheRecord:
     return make_record(
         model_id="gpt-3.5-turbo", temperature=temp, prompt=prompt, raw_response=response
     )
+
+
+def identity(rec: CacheRecord) -> tuple[str, str, str]:
+    return request_identity(rec.model_id, rec.temperature, rec.prompt)
 
 
 class TestCacheKey:
@@ -61,14 +66,61 @@ class TestRecordFormat:
         assert rec.cache_key == cache_key(rec.model_id, rec.temperature, rec.prompt)
 
 
+# Temperatures as a config or a record may hold them: ints, floats, both zeros.
+TEMPERATURES = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1, 1.0, 0.7, 0.1 + 0.2, 0.30000000000000004]),
+)
+# Prompts as a corpus gives them: any text that is valid Unicode.
+PROMPTS = st.one_of(
+    st.sampled_from(["The word is ಮನೆ.", "The word is வணக்கம்.", "The word is x."]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+REQUESTS = st.tuples(st.sampled_from(["m", "m2", "ಮ"]), TEMPERATURES, PROMPTS)
+
+
+class TestRequestIdentity:
+    @given(a=REQUESTS, b=REQUESTS)
+    def test_identities_equal_exactly_when_keys_are(self, a, b):
+        same_key = cache_key(*a) == cache_key(*b)
+        assert (request_identity(*a) == request_identity(*b)) == same_key
+        # And the cache answers b exactly when it holds a's key.
+        cache = ResponseCache(None)
+        cache.put_if_absent(make_record(*a, "reply"))
+        assert (cache.get(*request_identity(*b)) is not None) == same_key
+
+    def test_zero_and_negative_zero_are_two_requests(self):
+        assert cache_key("m", 0.0, "p") != cache_key("m", -0.0, "p")
+        assert request_identity("m", 0.0, "p") != request_identity("m", -0.0, "p")
+        assert request_identity("m", 1, "p") == request_identity("m", 1.0, "p")
+
+    def test_record_answers_the_request_its_fields_name_not_its_key(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        x, y = record(prompt="The word is x."), record(prompt="The word is y.")
+        # Hand-edited: x's fields and reply, but y's key.
+        path.write_text(
+            json.dumps({**json.loads(x.to_json_line()), "cache_key": y.cache_key}) + "\n",
+            encoding="utf-8",
+        )
+        cache = ResponseCache(path)
+        assert cache.get(*identity(x)) == "en"
+        assert cache.get(*identity(y)) is None
+        # y is still a miss, so its own record is appended and then served.
+        assert cache.put_if_absent(record(prompt="The word is y.", response="kn")) == (
+            "kn", True)
+        assert ResponseCache(path).get(*identity(y)) == "kn"
+
+
 class TestResponseCache:
     def test_put_then_get(self, tmp_path):
         cache = ResponseCache(tmp_path / "c.jsonl")
         rec = record()
         stored, inserted = cache.put_if_absent(rec)
         assert inserted
-        assert stored == rec
-        assert cache.get(rec.cache_key) == rec
+        assert stored == rec.raw_response
+        assert cache.get(*identity(rec)) == rec.raw_response
+        assert load_cache_records(tmp_path / "c.jsonl") == [rec]
 
     def test_first_record_wins(self, tmp_path):
         cache = ResponseCache(tmp_path / "c.jsonl")
@@ -84,14 +136,15 @@ class TestResponseCache:
         cache.put_if_absent(first)
         stored, inserted = cache.put_if_absent(second)
         assert not inserted
-        assert stored.raw_response == "en"
+        assert stored == "en"
 
     def test_persists_across_instances(self, tmp_path):
         path = tmp_path / "c.jsonl"
         rec = record()
         ResponseCache(path).put_if_absent(rec)
         reloaded = ResponseCache(path)
-        assert reloaded.get(rec.cache_key) == rec
+        assert reloaded.get(*identity(rec)) == rec.raw_response
+        assert load_cache_records(path) == [rec]
 
     def test_at_most_once_on_disk(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -116,24 +169,24 @@ class TestResponseCache:
         path.write_text(
             first.to_json_line() + "\n" + dup.to_json_line() + "\n", encoding="utf-8"
         )
-        assert ResponseCache(path).get(first.cache_key).raw_response == "en"
+        assert ResponseCache(path).get(*identity(first)) == "en"
 
     def test_cache_bust_truncates(self, tmp_path):
         path = tmp_path / "c.jsonl"
         rec = record()
         ResponseCache(path).put_if_absent(rec)
         busted = ResponseCache(path, cache_bust=True)
-        assert busted.get(rec.cache_key) is None
+        assert busted.get(*identity(rec)) is None
         assert path.read_text(encoding="utf-8") == ""
 
     def test_memory_only_mode(self):
         cache = ResponseCache(None)
         rec = record()
         cache.put_if_absent(rec)
-        assert cache.get(rec.cache_key) == rec
+        assert cache.get(*identity(rec)) == rec.raw_response
 
     def test_missing_key_is_none(self, tmp_path):
-        assert ResponseCache(tmp_path / "c.jsonl").get("0" * 64) is None
+        assert ResponseCache(tmp_path / "c.jsonl").get(*identity(record())) is None
 
     def test_appended_bytes_are_the_json_lines(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -188,7 +241,7 @@ class TestResponseCache:
         assert len(lines) == 1
         canonical = json.loads(lines[0])["raw_response"]
         # Every caller observed the single persisted reply.
-        assert {stored.raw_response for stored, _ in results} == {canonical}
+        assert {stored for stored, _ in results} == {canonical}
         assert sum(1 for _, inserted in results if inserted) == 1
 
 
