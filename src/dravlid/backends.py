@@ -109,6 +109,10 @@ class LiveBackend:
 
     def _miss(self, word: str, prompt: str, config: ExperimentConfig) -> tuple[str, bool]:
         """Answer one uncached prompt: (raw_response, from_cache)."""
+        # Keyed before the request, so that a request no record could hold
+        # (a lone surrogate in the model id) is never sent; and through this
+        # module's cache_key, where the benchmark's tracer counts the keys.
+        key = cache_key(config.model_id, config.temperature, prompt)
         raw = self.transport.complete(
             ChatRequest(
                 model_id=config.model_id,
@@ -117,11 +121,8 @@ class LiveBackend:
                 user_message=prompt,
             )
         )
-        # Keyed through this module's cache_key, where the benchmark's tracer
-        # counts the keys a run computes: now only those of its misses.
         reply, inserted = self.cache.put_if_absent(CacheRecord(
-            cache_key(config.model_id, config.temperature, prompt),
-            config.model_id, config.temperature, prompt, raw, utc_now_rfc3339(),
+            key, config.model_id, config.temperature, prompt, raw, utc_now_rfc3339()
         ))
         return reply, not inserted
 

@@ -666,6 +666,18 @@ class TestLiveBackend:
         assert all(p.from_cache for p in again)
         assert keyed == []
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_unkeyable_request_is_refused_before_it_is_sent(self, tmp_path, workers):
+        # argv carries undecodable bytes as lone surrogates, which no UTF-8
+        # cache line can hold.
+        config = ExperimentConfig(task=KN, model_id="gpt-\udcff")
+        with echo_server() as server:
+            backend = LiveBackend(ResponseCache(tmp_path / "c.jsonl"), make_transport(server),
+                                  max_workers=workers)
+            with pytest.raises(UnicodeEncodeError):
+                backend.classify_words(["mane", "hello", "bega"], config)
+            assert server.request_count == 0
+
 
 class TestReplayBackend:
     def test_answers_from_fixture(self):
