@@ -110,8 +110,10 @@ class LiveBackend:
     def _miss(self, word: str, prompt: str, config: ExperimentConfig) -> tuple[str, bool]:
         """Answer one uncached prompt: (raw_response, from_cache)."""
         # Keyed before the request, so that a request no record could hold
-        # (a lone surrogate in the model id) is never sent; and through this
-        # module's cache_key, where the benchmark's tracer counts the keys.
+        # (a lone surrogate in the model id) is never sent: the CLI refuses
+        # such a --model up front, but a library caller may pass one. Keyed
+        # through this module's cache_key, where the benchmark's tracer
+        # counts the keys.
         key = cache_key(config.model_id, config.temperature, prompt)
         raw = self.transport.complete(
             ChatRequest(

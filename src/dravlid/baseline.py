@@ -7,10 +7,9 @@ contract (see classify_baseline).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable
 
 from dravlid.taxonomy import Category, TaskLanguage
 
@@ -19,8 +18,9 @@ _DATA_DIR = Path(__file__).parent / "data"
 
 @dataclass(frozen=True)
 class LexiconSet:
-    """Word lists backing the rules. A word may appear in several lists;
-    rule order resolves the overlap."""
+    """Word lists backing the rules, each held once in the form the rules
+    read it: names exactly as given, the other lists lower-cased. A word may
+    appear in several lists; rule order resolves the overlap."""
 
     english_words: frozenset[str]
     dravidian_stems: frozenset[str]
@@ -29,47 +29,25 @@ class LexiconSet:
     dravidian_suffixes: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "english_words", frozenset(w.lower() for w in self.english_words)
-        )
-        object.__setattr__(
-            self, "dravidian_stems", frozenset(w.lower() for w in self.dravidian_stems)
-        )
-        object.__setattr__(
-            self,
-            "dravidian_suffixes",
-            tuple(s.lower() for s in self.dravidian_suffixes),
-        )
-        object.__setattr__(self, "name_gazetteer", frozenset(self.name_gazetteer))
-        object.__setattr__(
-            self, "location_gazetteer", frozenset(self.location_gazetteer)
-        )
-        for group_name in (
-            "english_words",
-            "dravidian_stems",
-            "name_gazetteer",
-            "location_gazetteer",
-            "dravidian_suffixes",
-        ):
-            if any(not entry for entry in getattr(self, group_name)):
-                raise ValueError(f"{group_name} contains an empty entry")
-        # Location matching is case-insensitive; precompute the folded set.
-        object.__setattr__(
-            self,
-            "_locations_folded",
-            frozenset(w.lower() for w in self.location_gazetteer),
-        )
+        for field in fields(self):
+            entries = getattr(self, field.name)
+            if field.name != "name_gazetteer":
+                entries = map(str.lower, entries)
+            held = tuple(entries) if field.name == "dravidian_suffixes" else frozenset(entries)
+            if "" in held:
+                raise ValueError(f"{field.name} contains an empty entry")
+            object.__setattr__(self, field.name, held)
 
 
 def load_wordlist(path: str | Path) -> list[str]:
     """One entry per line, UTF-8 (a leading BOM is dropped), '#' comments and
-    blank lines skipped."""
-    entries = []
-    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            entries.append(line)
-    return entries
+    blank lines skipped. Lines end at '\\n' only, as corpus lines do."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    entries = (line.strip() for line in text.split("\n"))
+    return [entry for entry in entries if entry and not entry.startswith("#")]
 
 
 def _read_lexicons(directory: Path, prefix: str = "") -> LexiconSet:
@@ -87,16 +65,7 @@ def _read_lexicons(directory: Path, prefix: str = "") -> LexiconSet:
         raise FileNotFoundError(
             f"lexicon directory {directory} is missing: {', '.join(missing)}"
         )
-    english, stems, people, places, suffixes = (
-        load_wordlist(directory / name) for name in names
-    )
-    return LexiconSet(
-        english_words=frozenset(english),
-        dravidian_stems=frozenset(stems),
-        name_gazetteer=frozenset(people),
-        location_gazetteer=frozenset(places),
-        dravidian_suffixes=tuple(suffixes),
-    )
+    return LexiconSet(*(load_wordlist(directory / name) for name in names))
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +85,7 @@ def lexicons_from_dir(directory: str | Path) -> LexiconSet:
     return _read_lexicons(Path(directory))
 
 
-def _strips_to(word: str, suffixes: Iterable[str], vocabulary: frozenset[str]) -> bool:
+def _strips_to(word: str, suffixes: tuple[str, ...], vocabulary: frozenset[str]) -> bool:
     """True when stripping some suffix leaves a non-empty residue in vocabulary."""
     for suffix in suffixes:
         if len(word) > len(suffix) and word.endswith(suffix):
@@ -146,12 +115,12 @@ def classify_baseline(
     if lex is None:
         lex = default_lexicons(task)
 
-    if all(not c.isalnum() for c in word):
+    if not any(map(str.isalnum, word)):
         return Category.SYMBOL
-    if all(c.isdigit() for c in word):
+    if word.isdigit():
         return Category.OTHER
     lowered = word.lower()
-    if lowered in lex._locations_folded:  # type: ignore[attr-defined]
+    if lowered in lex.location_gazetteer:
         return Category.LOCATION
     if word in lex.name_gazetteer:
         return Category.NAME

@@ -27,7 +27,7 @@ from dravlid.backends import (
 from dravlid.baseline import lexicons_from_dir
 from dravlid.cache import ResponseCache
 from dravlid.classifiers import FAILURE_POLICIES
-from dravlid.corpus import Dataset, compute_stats, detect_task, parse_corpus
+from dravlid.corpus import Dataset, compute_stats, detect_task, naming_bad_bytes, parse_corpus
 from dravlid.errors import CorpusParseError, DravlidError, ResponseFormatError, TransportError
 from dravlid.metrics import (
     REPORT_ROWS,
@@ -107,10 +107,19 @@ def _temperature_list(text: str) -> tuple[float, ...]:
 
 
 def _read_corpus_arg(path: str, task_flag: str | None) -> Dataset:
-    with _reading(path):
+    with _reading(path), naming_bad_bytes(path):
         text = Path(path).read_text(encoding="utf-8-sig")  # drops a leading BOM
         task = parse_task(task_flag) if task_flag else detect_task(text)
         return parse_corpus(text, task, source_path=path)
+
+
+def _request_model(model: str) -> str:
+    """--model, if a request can carry it: no lone surrogate from a non-UTF-8 argv byte."""
+    try:
+        model.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"--model {model!r} is not valid UTF-8") from None
+    return model
 
 
 def _add_task_flag(parser: argparse.ArgumentParser, required: bool) -> None:
@@ -242,7 +251,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     with _flag_values():
         config = ExperimentConfig(
             task=parse_task(args.task),
-            model_id=args.model,
+            model_id=_request_model(args.model),
             temperature=args.temperature,
             max_output_tokens=args.max_output_tokens,
             run_label=args.run_label,
@@ -293,9 +302,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     with _flag_values():
-        configs = sweep_configs(
-            parse_task(args.task), args.model, args.temperatures, args.max_output_tokens
-        )
+        configs = sweep_configs(parse_task(args.task), _request_model(args.model),
+                                args.temperatures, args.max_output_tokens)
     with _session(args) as (ds, backend):
         out_dir = Path(args.out_dir) if args.out_dir else None
         if out_dir is not None:

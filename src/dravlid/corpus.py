@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -149,6 +150,24 @@ def _parse_line(
     return surface, gold
 
 
+@contextmanager
+def naming_bad_bytes(path: str | Path):
+    """Turn a UTF-8 decode failure in the block into a CorpusParseError naming
+    the line and file offset of the first bad byte. Only this error path reads
+    the file again: a text stream's error gives an offset within one chunk."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # bytes.splitlines breaks where a text-mode read does: \n, \r\n, \r.
+            line_number = len((data[: exc.start] + b".").splitlines())
+            raise CorpusParseError(str(exc), line_number=line_number) from None
+        raise  # the file changed between the reads: keep the first error
+
+
 def parse_corpus(
     text: str | Iterable[str], task: TaskLanguage, source_path: str = "<memory>"
 ) -> Dataset:
@@ -170,9 +189,9 @@ def parse_corpus(
 
 def parse_corpus_file(path: str | Path, task: TaskLanguage) -> Dataset:
     path = Path(path)
-    return parse_corpus(
-        path.read_text(encoding="utf-8-sig"), task, source_path=str(path)
-    )
+    with naming_bad_bytes(path):
+        text = path.read_text(encoding="utf-8-sig")
+    return parse_corpus(text, task, source_path=str(path))
 
 
 def serialize_corpus(ds: Dataset) -> str:

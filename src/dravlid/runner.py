@@ -16,7 +16,7 @@ from typing import BinaryIO, Sequence
 from dravlid.backends import Backend, LiveBackend
 from dravlid.cache import utc_now_rfc3339
 from dravlid.classifiers import WordPrediction, check_policy, resolve_predictions
-from dravlid.corpus import SKIP, Dataset, read_lines
+from dravlid.corpus import SKIP, Dataset, naming_bad_bytes, read_lines
 from dravlid.errors import CorpusParseError, UnknownLabelCodeError
 from dravlid.metrics import MetricReport, evaluate
 from dravlid.prompting import ExperimentConfig
@@ -170,10 +170,10 @@ def read_predictions_jsonl(
 ) -> tuple[list[str], list[Category]]:
     """Load a predictions file as two columns: words and their categories.
 
-    Blank lines are skipped. A bad line is a CorpusParseError naming its
-    first occurrence.
+    A leading BOM is dropped and blank lines are skipped. A bad line, or a
+    byte that is not UTF-8, is a CorpusParseError naming its first line.
     """
-    with Path(path).open(encoding="utf-8") as fh:
+    with naming_bad_bytes(path), Path(path).open(encoding="utf-8-sig") as fh:
         words, categories, _ = read_lines(
             fh, lambda line, line_number: _decode_prediction_line(line, line_number, task)
         )

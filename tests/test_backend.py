@@ -7,6 +7,8 @@ at all); the conftest socket guard enforces that.
 import base64
 import gc
 import http.client
+import json
+import re
 import socket
 import subprocess
 import sys
@@ -301,6 +303,47 @@ class TestConnections:
         assert transport.requests_sent == 2
         assert delays == [1.0]
 
+    def test_body_cut_short_closes_the_connection_and_is_a_failed_attempt(self):
+        delays = []
+        listener = socket.create_server(("127.0.0.1", 0))
+        body = json.dumps(content_reply("en")).encode()
+        head = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n"
+
+        def cut_short_then_answer():
+            # The first reply promises the whole body but sends ten bytes.
+            for reply in (head % len(body) + body[:10], head % len(body) + body):
+                conn, _ = listener.accept()
+                request_bytes = b""
+                while b"\r\n\r\n" not in request_bytes:
+                    request_bytes += conn.recv(65536)
+                header, _, sent = request_bytes.partition(b"\r\n\r\n")
+                length = int(re.search(rb"(?i)content-length: (\d+)", header).group(1))
+                while len(sent) < length:
+                    sent += conn.recv(65536)
+                conn.sendall(reply)
+                conn.close()
+
+        thread = threading.Thread(target=cut_short_then_answer)
+        thread.start()
+        try:
+            transport = ChatTransport(
+                base_url="http://127.0.0.1:%d" % listener.getsockname()[1],
+                api_key="k",
+                sleep=delays.append,
+            )
+            opened = []
+            open_connection = transport._open_connection
+            transport._open_connection = lambda: opened.append(open_connection()) or opened[-1]
+            with transport:
+                assert transport.complete(request()) == "en"
+            thread.join(timeout=5)
+        finally:
+            listener.close()
+        assert transport.requests_sent == 2
+        assert delays == [1.0]
+        assert len(opened) == 2
+        assert opened[0].sock is None  # closed when its body read failed
+
     def test_close_leaves_no_open_socket(self):
         with StubChatServer(keep_alive=True) as server:
             with warnings.catch_warnings(record=True) as caught:
@@ -464,6 +507,12 @@ class TestResponseFormat:
             with pytest.raises(ResponseFormatError):
                 make_transport(server).complete(request())
 
+    def test_non_string_content_is_format_error(self):
+        with StubChatServer() as server:
+            server.enqueue(200, {"choices": [{"message": {"content": 5}}]})
+            with pytest.raises(ResponseFormatError, match="content is not a string"):
+                make_transport(server).complete(request())
+
     def test_non_object_body_is_format_error(self):
         with StubChatServer() as server:
             server.enqueue(200, "[1, 2]")
@@ -569,6 +618,17 @@ class TestTokenBucket:
         bucket.acquire()
         assert waits and all(0 < w <= MAX_WAIT for w in waits)
         assert sum(waits) == pytest.approx(60e12)
+
+    def test_each_attempt_retries_included_takes_one_token(self):
+        clock, sleep, waits = self.fake_time()
+        bucket = TokenBucket(rate_per_minute=2.0, clock=clock, sleep=sleep)
+        with StubChatServer() as server:
+            server.enqueue(503, {"error": "down"})
+            server.enqueue(503, {"error": "down"})
+            server.enqueue(200, content_reply("kn"))
+            assert make_transport(server, rate_limiter=bucket).complete(request()) == "kn"
+        # Two tokens fill the bucket, so only the third attempt waits for one.
+        assert waits == [pytest.approx(30.0)]
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):

@@ -153,6 +153,11 @@ class TestLexicons:
         assert "book" in lex.english_words
         assert classify_baseline("BOOK", KN, lex) is Category.ENGLISH
 
+    def test_locations_held_lower_cased_and_names_as_given(self):
+        lex = make_lex()
+        assert lex.location_gazetteer == {"bangalore", "taj mahal"}
+        assert lex.name_gazetteer == {"John", "Infosys"}
+
     def test_empty_entry_rejected(self):
         with pytest.raises(ValueError):
             make_lex(english_words=frozenset({""}))
@@ -167,6 +172,14 @@ class TestLexicons:
         path.write_bytes(b"\xef\xbb\xbfalpha\nbeta\n")
         assert load_wordlist(path) == ["alpha", "beta"]
 
+    def test_load_wordlist_splits_lines_at_newline_only(self, tmp_path):
+        # Corpus lines end at "\n" only, so these characters stay inside a
+        # surface; a list entry must keep them too, or it can never match.
+        inner = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+        path = tmp_path / "names.txt"
+        path.write_text("".join(f"Ra{c}ma\n" for c in inner), encoding="utf-8")
+        assert load_wordlist(path) == [f"Ra{c}ma" for c in inner]
+
     def test_lexicons_from_dir(self, tmp_path):
         files = {
             "english_words.txt": "book\n",
@@ -179,6 +192,15 @@ class TestLexicons:
             (tmp_path / name).write_text(content, encoding="utf-8")
         lex = lexicons_from_dir(tmp_path)
         assert classify_baseline("bookalli", KN, lex) is Category.MIXED
+
+    def test_name_holding_a_line_separator_matches(self, tmp_path):
+        files = {"english_words.txt": "book\n", "stems.txt": "mane\n",
+                 "names.txt": "Ra\u2028ma\n", "locations.txt": "Bangalore\n",
+                 "suffixes.txt": "alli\n"}
+        for name, content in files.items():
+            (tmp_path / name).write_text(content, encoding="utf-8")
+        lex = lexicons_from_dir(tmp_path)
+        assert classify_baseline("Ra\u2028ma", KN, lex) is Category.NAME
 
     def test_lexicons_from_dir_missing_file(self, tmp_path):
         (tmp_path / "english_words.txt").write_text("book\n", encoding="utf-8")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dravlid.cache
 from dravlid.cache import (
     CacheRecord,
     ResponseCache,
@@ -287,6 +288,26 @@ class TestLoadCacheRecords:
             load_cache_records(path)
         assert str(excinfo.value).startswith(f"{path} line 2: {reason}")
 
+    def test_line_led_by_whitespace_loads(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        rec = record()
+        path.write_text(" \t" + rec.to_json_line() + "\n", encoding="utf-8")
+        assert load_cache_records(path) == [rec]
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [("\ufeff" + record().to_json_line(), "not JSON: Unexpected UTF-8 BOM"),
+         (record().to_json_line() + " x", "not JSON: Extra data")],
+        ids=["byte-order-mark", "trailing-data"],
+    )
+    def test_line_json_would_refuse_names_file_and_line(self, tmp_path, line, reason):
+        path = tmp_path / "c.jsonl"
+        path.write_text(line + "\n" + record(prompt="y").to_json_line() + "\n",
+                        encoding="utf-8")
+        with pytest.raises(CacheReadError) as excinfo:
+            load_cache_records(path)
+        assert str(excinfo.value).startswith(f"{path} line 1: {reason}")
+
     def test_bad_last_line_without_newline_is_still_an_error(self, tmp_path):
         # Only a line that is not JSON can be the torn end of an append.
         path = tmp_path / "c.jsonl"
@@ -351,6 +372,22 @@ class TestTornTail:
         extra = record(prompt="The word is new.")
         cache.put_if_absent(extra)
         assert path.read_bytes() == TORN_FILE + extra.to_json_line().encode() + b"\n"
+
+    def test_short_write_of_a_whole_line_is_cut_off_by_the_next_append(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "c.jsonl"
+        cache = ResponseCache(path)
+        lost = record(prompt="The word is lost.")
+        real_write = dravlid.cache.os.write
+        with monkeypatch.context() as m:
+            m.setattr(dravlid.cache.os, "write", lambda fd, data: real_write(fd, data[:7]))
+            with pytest.raises(CacheWriteError, match="wrote 7 of"):
+                cache.put_if_absent(lost)
+        assert path.read_bytes() == lost.to_json_line().encode()[:7]
+        extra = record(prompt="The word is new.")
+        cache.put_if_absent(extra)
+        assert load_cache_records(path) == [extra]
 
     def test_read_only_load_leaves_the_file_alone(self, tmp_path):
         path = tmp_path / "c.jsonl"

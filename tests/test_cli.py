@@ -99,7 +99,7 @@ class TestStats:
         corpus.write_bytes(b"mane\tkn\nhel\xfflo\ten\n")
         assert main(["stats", str(corpus)]) == 2
         err = capsys.readouterr().err
-        assert f"data error: {corpus}: 'utf-8' codec can't decode byte 0xff" in err
+        assert f"data error: {corpus}: line 2: 'utf-8' codec can't decode byte 0xff" in err
 
     def test_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path, capsys):
         text = "# header\nhello\ten\nmane\tkn\n"
@@ -697,7 +697,8 @@ class TestEvaluate:
         files[bad] = str(broken)
         assert main(["evaluate", "--gold", files["gold"], "--pred", files["pred"]]) == 2
         err = capsys.readouterr().err
-        assert f"data error: {broken}: 'utf-8' codec can't decode byte 0xff" in err
+        line = broken.read_bytes().split(b"\xff")[0].count(b"\n") + 1
+        assert f"data error: {broken}: line {line}: 'utf-8' codec can't decode byte 0xff" in err
 
     def test_count_mismatch_is_data_error(self, tmp_path, capsys):
         gold = write_lines(tmp_path / "g.tsv", "a\ten", "b\ten")

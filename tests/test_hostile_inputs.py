@@ -1,8 +1,9 @@
-"""Hostile JSON inputs end in their documented exit code, through main(argv).
+"""Hostile inputs end in their documented exit code, through main(argv).
 
 Each input surface that reads JSON (cache and replay files, predictions
 files, saved reports, chat reply bodies) meets deep nesting, numbers no
-float holds and lone surrogates. Every case must end in its exit code with
+float holds and lone surrogates; token and lexicon files meet bytes that
+are not UTF-8, and --model a lone surrogate from such an argv byte. Every case must end in its exit code with
 one stderr line that names the file and line where there is one, and no
 traceback.
 """
@@ -148,8 +149,10 @@ class TestReplyBodies:
         "body, reason",
         [("[" * 5000, "response body is not valid JSON: maximum recursion depth"),
          (json.dumps(content_reply("en\ud800")),
-          "choices[0].message.content is not valid Unicode")],
-        ids=["deep", "surrogate"],
+          "choices[0].message.content is not valid Unicode"),
+         (json.dumps({"choices": [{"message": {"content": 5}}]}),
+          "choices[0].message.content is not a string")],
+        ids=["deep", "surrogate", "not-a-string"],
     )
     def test_is_transport_error_and_never_cached(
         self, tmp_path, capsys, body, reason, workers
@@ -178,3 +181,79 @@ class TestBaseUrl:
         err = one_error_line(
             capsys, "dravlid: error: base URL is not a valid URL: Invalid IPv6 URL")
         assert "secret" not in err
+
+
+def token_lines(count: int) -> tuple[str, str]:
+    """A gold corpus of count tokens and the predictions file that matches it."""
+    words = [f"w{i}" for i in range(count)]
+    gold = "".join(f"{word}\ten\n" for word in words)
+    pred = "".join(json.dumps({"category_code": "en", "raw_response": "en", "word": word})
+                   + "\n" for word in words)
+    return gold, pred
+
+
+def with_bad_byte(path: Path, text: str, line: int) -> str:
+    """Write text with a 0xff byte in the middle of its 1-based line."""
+    lines = text.encode("utf-8").split(b"\n")
+    lines[line - 1] = lines[line - 1][:2] + b"\xff" + lines[line - 1][2:]
+    path.write_bytes(b"\n".join(lines))
+    return str(path)
+
+
+class TestBytesNotUtf8:
+    def test_corpus_byte_is_named_by_file_and_line(self, tmp_path, capsys):
+        gold, _ = token_lines(3000)
+        corpus = with_bad_byte(tmp_path / "c.tsv", gold, 2001)
+        offset = Path(corpus).read_bytes().index(b"\xff")
+        assert main(["classify", corpus, "--task", "kn", "--backend", "baseline"]) == 2
+        one_error_line(
+            capsys, f"dravlid: data error: {corpus}: line 2001: 'utf-8' codec can't "
+            f"decode byte 0xff in position {offset}: invalid start byte")
+
+    def test_predictions_byte_is_named_by_file_and_line(self, tmp_path, capsys):
+        # Long enough that the text stream decodes it in several chunks.
+        gold_text, pred_text = token_lines(3000)
+        gold = write(tmp_path / "g.tsv", gold_text)
+        pred = with_bad_byte(tmp_path / "p.jsonl", pred_text, 2001)
+        offset = Path(pred).read_bytes().index(b"\xff")
+        assert main(["evaluate", "--gold", gold, "--pred", pred]) == 2
+        one_error_line(
+            capsys, f"dravlid: data error: {pred}: line 2001: 'utf-8' codec can't "
+            f"decode byte 0xff in position {offset}: invalid start byte")
+
+    def test_predictions_file_may_start_with_a_byte_order_mark(self, tmp_path, capsys):
+        gold_text, pred_text = token_lines(3)
+        gold = write(tmp_path / "g.tsv", gold_text)
+        pred = tmp_path / "p.jsonl"
+        pred.write_bytes(b"\xef\xbb\xbf" + pred_text.encode("utf-8"))
+        assert main(["evaluate", "--gold", gold, "--pred", str(pred)]) == 0
+        assert json.loads(capsys.readouterr().out)["accuracy"] == 1.0
+
+    def test_lexicon_byte_is_named_by_file(self, tmp_path, capsys):
+        lexicons = tmp_path / "lex"
+        lexicons.mkdir()
+        for name in ("english_words", "stems", "locations", "suffixes"):
+            write(lexicons / f"{name}.txt", "entry\n")
+        names = with_bad_byte(lexicons / "names.txt", "Rama\n", 1)
+        corpus = write(tmp_path / "c.tsv", "hello\ten\n")
+        assert main(["classify", corpus, "--task", "kn", "--backend", "baseline",
+                     "--lexicon-dir", str(lexicons)]) == 2
+        one_error_line(capsys, f"dravlid: data error: {names}: 'utf-8' codec can't "
+                       "decode byte 0xff in position 2: invalid start byte")
+
+
+class TestModelFlag:
+    @pytest.mark.parametrize("command", ["classify", "sweep"])
+    @pytest.mark.parametrize("backend", ["live", "replay", "baseline"])
+    def test_model_no_request_can_carry_is_usage_error(
+        self, tmp_path, capsys, command, backend
+    ):
+        # argv carries an undecodable byte as a lone surrogate. Neither the
+        # corpus nor the cache exists: the flag is refused before any read.
+        missing = str(tmp_path / "missing")
+        code = main([command, missing, "--task", "kn", "--backend", backend,
+                     "--model", "gpt\udcff", "--cache", missing,
+                     "--base-url", "http://127.0.0.1:9", "--api-key", "k"])
+        assert code == 1
+        one_error_line(capsys, "dravlid: error: --model 'gpt\\udcff' is not valid UTF-8")
+        assert not any(tmp_path.iterdir())
