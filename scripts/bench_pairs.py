@@ -4,19 +4,20 @@
 Usage, from the root of a dravlid checkout:
 
     python3 scripts/bench_pairs.py --base HEAD~1 --workload warm-sweep-tm \\
-        --seed 1 --pairs 10 --seconds 30 --out BENCH.json
+        --workload baseline-zipf-kn --seed 1 --pairs 10 --seconds 30 --out BENCH.json
 
 The base revision is extracted with `git archive` into a temporary
 directory; the change is this checkout as it stands, uncommitted edits
-included. Each pair runs `perfbench/run.py` once in each tree, one run at a
-time, and which tree goes first alternates from pair to pair, so that drift
-in the machine's load falls on both sides alike. For each end-to-end metric
-that BENCHMARK.json declares, the output records both sides' medians and
-quartiles, how many pairs the change won, and the relative change of the
-medians against the metric's bound, with the seed, CPU count and Python
-version, under the workload's name and the seed. What --out already holds
-for other workloads and seeds is kept, so each can be measured by its own
-call. Standard library only.
+included. Each pair runs `perfbench/run.py` once in each tree for each
+workload given, one run at a time, the workloads in turn within the pair,
+and which tree goes first alternates from pair to pair, so that drift in
+the machine's load falls on both sides and every workload alike. For each
+end-to-end metric that BENCHMARK.json declares, the output records both
+sides' medians and quartiles, how many pairs the change won, and the
+relative change of the medians against the metric's bound, with the seed,
+CPU count and Python version, under the workload's name and the seed. What
+--out already holds for other workloads and seeds is kept. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -112,24 +113,28 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             "values": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
-def measure(base_tree: Path, workload: str, seed: int, pairs: int, seconds: float) -> dict:
-    """Alternate runs of the two trees; the samples of each side, in pair order."""
+def measure(base_tree: Path, workloads: list[str], seed: int, pairs: int,
+            seconds: float) -> dict[str, dict[str, list[dict]]]:
+    """Alternate runs of the two trees, each workload in turn within a pair;
+    the samples of each workload and side, in pair order."""
     trees = {"base": base_tree, "change": ROOT}
-    runs: dict[str, list[dict]] = {"base": [], "change": []}
+    runs = {w: {"base": [], "change": []} for w in workloads}
     for i in range(pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        for side in order:
-            runs[side].append(run_once(trees[side], workload, seed, seconds))
-        print(f"pair {i + 1}/{pairs}: " + ", ".join(
-            f"{side} {runs[side][-1]['values']}" for side in ("base", "change")),
-            file=sys.stderr)
+        for workload in workloads:
+            for side in order:
+                runs[workload][side].append(run_once(trees[side], workload, seed, seconds))
+            print(f"pair {i + 1}/{pairs} {workload}: " + ", ".join(
+                f"{side} {runs[workload][side][-1]['values']}" for side in ("base", "change")),
+                file=sys.stderr)
     return runs
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, metavar="REV")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append",
+                        help="a workload to measure; give it again for more")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
@@ -139,32 +144,36 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 1")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    workloads = list(dict.fromkeys(args.workload))
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         base_commit = extract(args.base, Path(tmp))
-        runs = measure(Path(tmp), args.workload, args.seed, args.pairs, args.seconds)
+        runs = measure(Path(tmp), workloads, args.seed, args.pairs, args.seconds)
 
     out = Path(args.out)
     document = json.loads(out.read_text()) if out.is_file() else {}
-    document.setdefault(args.workload, {})[f"seed {args.seed}"] = {
-        "base": {"rev": args.base, "commit": base_commit},
-        "change": {
-            "commit": _git("rev-parse", "HEAD").strip(),
-            # Edits under src/ or perfbench/ that the commit does not hold.
-            "uncommitted_edits": bool(_git("status", "--porcelain", "--", "src", "perfbench")),
-        },
-        "seed": args.seed,
-        "pairs": args.pairs,
-        "seconds": args.seconds,
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "correct": {side: sum(r["correct"] for r in runs[side]) for side in runs},
-        "metrics": {
-            m["name"]: summarize(m, [r["values"][m["name"]] for r in runs["base"]],
-                                 [r["values"][m["name"]] for r in runs["change"]])
-            for m in declared
-        },
+    change = {
+        "commit": _git("rev-parse", "HEAD").strip(),
+        # Edits under src/ or perfbench/ that the commit does not hold.
+        "uncommitted_edits": bool(_git("status", "--porcelain", "--", "src", "perfbench")),
     }
+    for workload in workloads:
+        sides = runs[workload]
+        document.setdefault(workload, {})[f"seed {args.seed}"] = {
+            "base": {"rev": args.base, "commit": base_commit},
+            "change": change,
+            "seed": args.seed,
+            "pairs": args.pairs,
+            "seconds": args.seconds,
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+            "correct": {side: sum(r["correct"] for r in sides[side]) for side in sides},
+            "metrics": {
+                m["name"]: summarize(m, [r["values"][m["name"]] for r in sides["base"]],
+                                     [r["values"][m["name"]] for r in sides["change"]])
+                for m in declared
+            },
+        }
     out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
+from dravlid.corpus import read_text
 from dravlid.taxonomy import Category, TaskLanguage
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -43,7 +44,7 @@ def load_wordlist(path: str | Path) -> list[str]:
     """One entry per line, UTF-8 (a leading BOM is dropped), '#' comments and
     blank lines skipped. Lines end at '\\n' only, as corpus lines do."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = read_text(path)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     entries = (line.strip() for line in text.split("\n"))

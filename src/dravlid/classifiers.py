@@ -8,8 +8,11 @@ to train: fit only resolves and validates parameters.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from functools import cached_property
+from operator import attrgetter
+from typing import Iterable, NamedTuple
 
 from dravlid.backends import Backend, BaselineBackend, RawPrediction
 from dravlid.baseline import LexiconSet
@@ -67,44 +70,79 @@ class WordPrediction:
     unparseable: bool
 
 
+class Reply(NamedTuple):
+    """What one distinct reply resolves to under a task."""
+
+    category: Category
+    code: str
+    unparseable: bool
+
+
+@dataclass(frozen=True)
+class Resolution(Sequence[WordPrediction]):
+    """Resolved replies as columns, one entry per input word.
+
+    `table` maps each distinct reply to its Reply. Indexing or iterating
+    builds a WordPrediction per entry on demand, from the same columns.
+    """
+
+    words: Sequence[str]
+    replies: list[str]
+    from_cache: list[bool]
+    table: dict[str, Reply]
+
+    @cached_property
+    def rows(self) -> list[Reply]:
+        """Each entry's Reply, shared between entries with the same reply."""
+        return list(map(self.table.__getitem__, self.replies))
+
+    @cached_property
+    def categories(self) -> list[Category]:
+        return list(map(attrgetter("category"), self.rows))
+
+    def __len__(self) -> int:
+        return len(self.replies)
+
+    def __getitem__(self, i: int) -> WordPrediction:
+        category, code, unparseable = self.rows[i]
+        return WordPrediction(
+            self.words[i], self.replies[i], category, code, self.from_cache[i], unparseable
+        )
+
+
+_word_of = attrgetter("word")
+_reply_of = attrgetter("raw_response")
+_from_cache_of = attrgetter("from_cache")
+
+
 def resolve_predictions(
     raws: Sequence[RawPrediction],
     task: TaskLanguage,
     failure_policy: str = "map_to_other",
-) -> list[WordPrediction]:
+) -> Resolution:
     """Normalize raw replies into categories under the failure policy.
 
     map_to_other turns unrecognizable replies into Other (flagged); strict
     raises on the first one in input order, naming the word and the raw
-    reply. Each distinct reply is normalized once, and tokens with the same
-    word, reply and cache flag share one (frozen) WordPrediction.
+    reply. Each distinct reply is normalized once, into the table that
+    every entry with that reply reads.
     """
     check_policy(failure_policy)
-    replies: dict[str, tuple[Category, str, bool]] = {}  # category, code, unparseable
-    shared: dict[tuple[str, str, bool], WordPrediction] = {}
-    resolved = []
-    for raw in raws:
-        key = (raw.word, raw.raw_response, raw.from_cache)
-        prediction = shared.get(key)
-        if prediction is None:
-            reply = replies.get(raw.raw_response)
-            if reply is None:
-                outcome = normalize_response(raw.raw_response, task)
-                category = outcome.category if outcome.ok else Category.OTHER
-                reply = replies[raw.raw_response] = (
-                    category, code_for(category, task), not outcome.ok
-                )
-            category, code, unparseable = reply
-            if unparseable and failure_policy == "strict":
-                raise UnparseableResponseError(
-                    f"could not map reply for word {raw.word!r} to a category "
-                    f"(raw reply: {raw.raw_response!r})"
-                )
-            prediction = shared[key] = WordPrediction(
-                raw.word, raw.raw_response, category, code, raw.from_cache, unparseable
-            )
-        resolved.append(prediction)
-    return resolved
+    replies = list(map(_reply_of, raws))
+    table: dict[str, Reply] = {}
+    for reply in dict.fromkeys(replies):
+        outcome = normalize_response(reply, task)
+        category = outcome.category if outcome.ok else Category.OTHER
+        table[reply] = Reply(category, code_for(category, task), not outcome.ok)
+    if failure_policy == "strict" and any(map(attrgetter("unparseable"), table.values())):
+        first = next(raw for raw in raws if table[raw.raw_response].unparseable)
+        raise UnparseableResponseError(
+            f"could not map reply for word {first.word!r} to a category "
+            f"(raw reply: {first.raw_response!r})"
+        )
+    return Resolution(
+        list(map(_word_of, raws)), replies, list(map(_from_cache_of, raws)), table
+    )
 
 
 @dataclass(eq=False)
@@ -152,7 +190,7 @@ class BaseWordClassifier:
         words = check_words(X)
         config = self._config()
         raws = self._backend().classify_words(words, config)
-        return resolve_predictions(raws, config.task, policy)
+        return list(resolve_predictions(raws, config.task, policy))
 
     def predict(self, X) -> list[Category]:
         return [p.category for p in self.predict_detailed(X)]

@@ -27,7 +27,14 @@ from dravlid.backends import (
 from dravlid.baseline import lexicons_from_dir
 from dravlid.cache import ResponseCache
 from dravlid.classifiers import FAILURE_POLICIES
-from dravlid.corpus import Dataset, compute_stats, detect_task, naming_bad_bytes, parse_corpus
+from dravlid.corpus import (
+    Dataset,
+    compute_stats,
+    detect_task,
+    naming_bad_bytes,
+    parse_corpus,
+    read_text,
+)
 from dravlid.errors import CorpusParseError, DravlidError, ResponseFormatError, TransportError
 from dravlid.metrics import (
     REPORT_ROWS,
@@ -108,7 +115,7 @@ def _temperature_list(text: str) -> tuple[float, ...]:
 
 def _read_corpus_arg(path: str, task_flag: str | None) -> Dataset:
     with _reading(path), naming_bad_bytes(path):
-        text = Path(path).read_text(encoding="utf-8-sig")  # drops a leading BOM
+        text = read_text(path)
         task = parse_task(task_flag) if task_flag else detect_task(text)
         return parse_corpus(text, task, source_path=path)
 
@@ -318,9 +325,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 _write_run(result, out_dir / f"{label}.predictions.jsonl",
                            out_dir / f"{label}.manifest.json")
             if has_gold:
-                report = evaluate_run(
-                    ds, result.predictions, run_label=label, macro_convention=args.macro
-                )
+                report = evaluate_run(ds, result, run_label=label, macro_convention=args.macro)
                 if out_dir is not None:
                     (out_dir / f"{label}.report.json").write_text(
                         report_to_json(report), encoding="utf-8"

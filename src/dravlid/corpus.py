@@ -1,10 +1,10 @@
 """Tab-separated token/label corpus parsing, serialization, and statistics.
 
 File format: one `<word>\\t<code>` or bare `<word>` per line, UTF-8 (a file's
-leading byte-order mark is dropped), LF or CRLF; a blank line is a sentence
-boundary; lines starting with `#` are comments. Surfaces are never
-case-folded or trimmed beyond the line terminator, so symbol tokens survive
-byte-exact.
+leading byte-order mark is dropped), LF or CRLF: a line ends at LF only, and
+one CR before it is dropped. A blank line is a sentence boundary; lines
+starting with `#` are comments. Surfaces are never case-folded or trimmed
+beyond the line terminator, so symbol tokens survive byte-exact.
 
 A corpus repeats a small vocabulary, so read_lines (the predictions file's
 reader too) decodes each distinct line once into columns: surfaces, gold
@@ -19,11 +19,15 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable
 
 from dravlid.errors import CorpusParseError, UnknownLabelCodeError
 from dravlid.taxonomy import Category, TaskLanguage, code_for, parse_gold_label, valid_codes
+
+
+_member_name = attrgetter("_name_")
 
 
 def _check_surface(surface: str) -> None:
@@ -39,8 +43,10 @@ class Dataset:
     Held as columns: `surfaces()` gives the words and `golds` the gold label
     of each (None where unlabeled). `breaks` holds one offset per blank line,
     the number of tokens before it, so runs of blank lines are kept. `words`
-    (the distinct surfaces in first-occurrence order) and `index` (one id
-    into `words` per token) are built on first use: only a run pays for them.
+    (the distinct surfaces in first-occurrence order), `index` (one id
+    into `words` per token) and `gold_words` (the (gold, word id) pair
+    counts a run is scored from) are built on first use: only a run pays
+    for them.
     """
 
     def __init__(
@@ -67,6 +73,19 @@ class Dataset:
     def index(self) -> array:
         ids = dict(zip(self.words, range(len(self.words))))
         return array("I", list(map(ids.__getitem__, self._surfaces)))
+
+    @cached_property
+    def gold_words(self) -> dict[Category, dict[int, int]]:
+        """For each gold label, how many of its tokens each word id has.
+
+        Raises, as gold_categories does, if any token is unlabeled.
+        """
+        # Counting member names hashes str in C, not through Enum.__hash__.
+        pairs = Counter(zip(map(_member_name, self.gold_categories()), self.index))
+        by_name: dict[str, dict[int, int]] = {}
+        for (name, word), count in pairs.items():
+            by_name.setdefault(name, {})[word] = count
+        return {Category[name]: words for name, words in by_name.items()}
 
     def __len__(self) -> int:
         return len(self._surfaces)
@@ -127,7 +146,7 @@ def _parse_line(
 
     Raises CorpusParseError naming line_number if the line is malformed.
     """
-    line = line.rstrip("\n").rstrip("\r")
+    line = line.removesuffix("\n").removesuffix("\r")
     if not line.strip():
         return BREAK
     if line.startswith("#"):
@@ -162,10 +181,16 @@ def naming_bad_bytes(path: str | Path):
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            # bytes.splitlines breaks where a text-mode read does: \n, \r\n, \r.
-            line_number = len((data[: exc.start] + b".").splitlines())
+            line_number = data.count(b"\n", 0, exc.start) + 1
             raise CorpusParseError(str(exc), line_number=line_number) from None
         raise  # the file changed between the reads: keep the first error
+
+
+def read_text(path: str | Path) -> str:
+    """A UTF-8 file's text, a leading BOM dropped, its line ends as they are:
+    lines split at '\\n' only, so a lone '\\r' stays inside its line."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        return fh.read()
 
 
 def parse_corpus(
@@ -190,7 +215,7 @@ def parse_corpus(
 def parse_corpus_file(path: str | Path, task: TaskLanguage) -> Dataset:
     path = Path(path)
     with naming_bad_bytes(path):
-        text = path.read_text(encoding="utf-8-sig")
+        text = read_text(path)
     return parse_corpus(text, task, source_path=str(path))
 
 

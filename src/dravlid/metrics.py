@@ -12,7 +12,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from dravlid.taxonomy import Category
 
@@ -76,26 +76,47 @@ class MetricReport:
     prediction_only_classes: int = 0
 
 
-def build_confusion(
-    gold: Sequence[Category],
-    pred: Sequence[Category],
-    labels: Sequence[Category] | None = None,
-) -> ConfusionMatrix:
-    """Tally a confusion matrix; labels default to the observed categories
-    in canonical taxonomy order.
-
-    The (gold, pred) pairs are counted in one pass; the cells and the
-    observed label set come from the few distinct pairs.
-    """
+def count_pairs(
+    gold: Sequence[Category], pred: Sequence[Category]
+) -> dict[tuple[Category, Category], int]:
+    """How many tokens have each (gold, pred) pair, from per-token labels."""
     if len(gold) != len(pred):
         raise ValueError(f"gold has {len(gold)} items but pred has {len(pred)}")
-    if not gold:
-        raise ValueError("cannot build a confusion matrix from empty sequences")
-
     # Counting member names hashes str in C; counting members would call
     # the Python-level Enum.__hash__ twice per token.
     name_pairs = Counter(zip(map(_member_name, gold), map(_member_name, pred)))
-    pairs = {(Category[g], Category[p]): count for (g, p), count in name_pairs.items()}
+    return {(Category[g], Category[p]): count for (g, p), count in name_pairs.items()}
+
+
+def count_pairs_by_word(
+    gold_words: Mapping[Category, Mapping[int, int]], categories: Sequence[Category]
+) -> dict[tuple[Category, Category], int]:
+    """How many tokens have each (gold, pred) pair, from each gold label's
+    token count per word id and one predicted category per word id."""
+    names = list(map(_member_name, categories))
+    pairs = {}
+    for gold, words in gold_words.items():
+        row: dict[str, int] = {}
+        for word, count in words.items():
+            name = names[word]
+            row[name] = row.get(name, 0) + count
+        for name, count in row.items():
+            pairs[gold, Category[name]] = count
+    return pairs
+
+
+def build_confusion(
+    pairs: Mapping[tuple[Category, Category], int],
+    labels: Sequence[Category] | None = None,
+) -> ConfusionMatrix:
+    """Tally a confusion matrix from (gold, pred) pair counts; labels default
+    to the observed categories in canonical taxonomy order.
+
+    Every count is positive: a pair no token has is left out.
+    """
+    if not pairs:
+        raise ValueError("cannot build a confusion matrix from no tokens")
+
     observed = {cat for pair in pairs for cat in pair}
     if labels is None:
         label_tuple = tuple(cat for cat in Category if cat in observed)
@@ -115,7 +136,7 @@ def build_confusion(
     return ConfusionMatrix(
         labels=label_tuple,
         counts=tuple(tuple(row) for row in cells),
-        n=len(gold),
+        n=sum(pairs.values()),
     )
 
 
@@ -147,12 +168,13 @@ def per_class_metrics(cm: ConfusionMatrix) -> list[PerClassMetrics]:
 
 
 def evaluate(
-    gold: Sequence[Category],
-    pred: Sequence[Category],
+    pairs: Mapping[tuple[Category, Category], int],
     run_label: str = "",
     macro_convention: str = "support",
 ) -> MetricReport:
-    """Full pipeline: confusion matrix, per-class metrics, aggregation.
+    """Full pipeline from (gold, pred) pair counts: confusion matrix,
+    per-class metrics, aggregation. `count_pairs` gives the counts of
+    per-token labels.
 
     macro_convention "support" averages over classes with gold instances;
     "fixed" averages over the full 7-label taxonomy. Weighted recall and
@@ -167,7 +189,7 @@ def evaluate(
     else:
         raise ValueError(f"unknown macro convention {macro_convention!r}")
 
-    cm = build_confusion(gold, pred, labels=labels)
+    cm = build_confusion(pairs, labels=labels)
     per_class = per_class_metrics(cm)
     n = cm.n
     if labels is None:

@@ -2,7 +2,10 @@
 
 A run predicts once per distinct word and puts the predictions in token order
 through the dataset's index, plus a manifest (timings, cache hits,
-unparseable count) that makes reruns auditable.
+unparseable count) that makes reruns auditable. A run is held as columns over
+the distinct words, never as an object per word: it is written from one
+encoded line per distinct word and scored from the dataset's (gold, word)
+pair counts.
 """
 
 from __future__ import annotations
@@ -10,22 +13,26 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import BinaryIO, Sequence
 
 from dravlid.backends import Backend, LiveBackend
 from dravlid.cache import utc_now_rfc3339
-from dravlid.classifiers import WordPrediction, check_policy, resolve_predictions
+from dravlid.classifiers import Resolution, check_policy, resolve_predictions
 from dravlid.corpus import SKIP, Dataset, naming_bad_bytes, read_lines
 from dravlid.errors import CorpusParseError, UnknownLabelCodeError
-from dravlid.metrics import MetricReport, evaluate
+from dravlid.metrics import MetricReport, count_pairs, count_pairs_by_word, evaluate
 from dravlid.prompting import ExperimentConfig
 from dravlid.taxonomy import Category, TaskLanguage, parse_gold_label
 
-# Sorted keys, json.dumps's default separators; each %s takes an encoded string.
-_LINE_TEMPLATE = '{"category_code": %s, "raw_response": %s, "word": %s}\n'
+# Sorted keys, json.dumps's default separators; each %s takes an encoded
+# string. A line is the head of its reply, then its word and the tail.
+_LINE_HEAD = '{"category_code": %s, "raw_response": %s, "word": '
+_LINE_TAIL = "}\n"
 # The C string encoder behind json.dumps(ensure_ascii=False).
 _encode = json.encoder.encode_basestring
+_unparseable = attrgetter("unparseable")
 # Tokens per write of the predictions file: about 150 kB, as fast as more.
 _CHUNK_TOKENS = 2048
 # json.loads minus its whitespace skipping, for an already stripped line.
@@ -72,15 +79,14 @@ class RunManifest:
 class RunResult:
     """One prediction per entry of `ds.words`, and `ds.index` to map tokens to them."""
 
-    distinct: tuple[WordPrediction, ...]
+    distinct: Resolution
     index: array
     manifest: RunManifest
 
     @property
     def predictions(self) -> tuple[Category, ...]:
         """Categories in token order."""
-        categories = [p.category for p in self.distinct]
-        return tuple(map(categories.__getitem__, self.index))
+        return tuple(map(self.distinct.categories.__getitem__, self.index))
 
 
 def run_experiment(
@@ -98,11 +104,11 @@ def run_experiment(
 
     started_at = utc_now_rfc3339()
     raws = backend.classify_words(ds.words, config)
-    distinct = tuple(resolve_predictions(raws, config.task, failure_policy))
+    distinct = resolve_predictions(raws, config.task, failure_policy)
     finished_at = utc_now_rfc3339()
 
     index = ds.index
-    hits = [p.from_cache for p in distinct]
+    hits = distinct.from_cache
     manifest = RunManifest(
         config=config,
         corpus_path=ds.source_path,
@@ -110,7 +116,7 @@ def run_experiment(
         failure_policy=failure_policy,
         started_at=started_at,
         finished_at=finished_at,
-        unparseable_count=_tokens_flagged([p.unparseable for p in distinct], index),
+        unparseable_count=_tokens_flagged(list(map(_unparseable, distinct.rows)), index),
         cache_hits=(
             len(ds) - hits.count(False) if isinstance(backend, LiveBackend)
             else _tokens_flagged(hits, index)
@@ -127,17 +133,29 @@ def _tokens_flagged(flags: list[bool], index: array) -> int:
 
 def evaluate_run(
     ds: Dataset,
-    predictions: Sequence[Category],
+    predictions: RunResult | Sequence[Category],
     run_label: str = "",
     macro_convention: str = "support",
 ) -> MetricReport:
-    """Score predictions against the dataset's gold labels."""
-    gold = ds.gold_categories()
-    if len(predictions) != len(gold):
-        raise ValueError(
-            f"{len(predictions)} predictions for {len(gold)} gold tokens"
-        )
-    return evaluate(gold, predictions, run_label=run_label, macro_convention=macro_convention)
+    """Score a run of this dataset, or categories in token order, against the
+    dataset's gold labels.
+
+    A run is scored from the dataset's (gold, word id) pair counts through
+    its one category per distinct word; categories in token order from
+    their own (gold, pred) pair counts.
+    """
+    if isinstance(predictions, RunResult):
+        if predictions.index is not ds.index:
+            raise ValueError("the run is not of this dataset")
+        pairs = count_pairs_by_word(ds.gold_words, predictions.distinct.categories)
+    else:
+        gold = ds.gold_categories()
+        if len(predictions) != len(gold):
+            raise ValueError(
+                f"{len(predictions)} predictions for {len(gold)} gold tokens"
+            )
+        pairs = count_pairs(gold, predictions)
+    return evaluate(pairs, run_label=run_label, macro_convention=macro_convention)
 
 
 def write_predictions_jsonl(result: RunResult, path: str | Path) -> None:
@@ -147,19 +165,23 @@ def write_predictions_jsonl(result: RunResult, path: str | Path) -> None:
 
 
 def write_predictions(
-    predictions: Sequence[WordPrediction], index: Sequence[int], out: BinaryIO
+    predictions: Resolution, index: Sequence[int], out: BinaryIO
 ) -> None:
     """Write one UTF-8 JSON line per token, the token's entry of predictions.
 
-    Each entry is encoded once, and the file goes out in chunks, never whole.
-    The bytes equal `json.dumps(..., ensure_ascii=False, sort_keys=True)` of
-    the three-key object: the keys are filled into a fixed sorted template
-    with the string encoder `json.dumps` itself uses.
+    Each distinct reply's head and each entry's line are encoded once, and
+    the file goes out in chunks, never whole. The bytes equal
+    `json.dumps(..., ensure_ascii=False, sort_keys=True)` of the three-key
+    object: the keys are filled into a fixed sorted template with the
+    string encoder `json.dumps` itself uses.
     """
+    heads = {
+        reply: _LINE_HEAD % (_encode(row.code), _encode(reply))
+        for reply, row in predictions.table.items()
+    }
     lines = [
-        (_LINE_TEMPLATE % (_encode(p.category_code), _encode(p.raw_response), _encode(p.word)))
-        .encode("utf-8")
-        for p in predictions
+        (head + _encode(word) + _LINE_TAIL).encode("utf-8")
+        for head, word in zip(map(heads.__getitem__, predictions.replies), predictions.words)
     ]
     for start in range(0, len(index), _CHUNK_TOKENS):
         out.write(b"".join(map(lines.__getitem__, index[start:start + _CHUNK_TOKENS])))
@@ -170,10 +192,13 @@ def read_predictions_jsonl(
 ) -> tuple[list[str], list[Category]]:
     """Load a predictions file as two columns: words and their categories.
 
-    A leading BOM is dropped and blank lines are skipped. A bad line, or a
-    byte that is not UTF-8, is a CorpusParseError naming its first line.
+    A leading BOM is dropped and blank lines are skipped; lines end at '\\n'
+    only. A bad line, or a byte that is not UTF-8, is a CorpusParseError
+    naming its first line.
     """
-    with naming_bad_bytes(path), Path(path).open(encoding="utf-8-sig") as fh:
+    with naming_bad_bytes(path), Path(path).open(
+        encoding="utf-8-sig", newline="\n"
+    ) as fh:
         words, categories, _ = read_lines(
             fh, lambda line, line_number: _decode_prediction_line(line, line_number, task)
         )

@@ -83,12 +83,12 @@ class StubChatServer:
                     outer.requests.append(body)
                     outer.paths.append(self.path)
                     outer.headers.append(dict(self.headers))
-                    if outer._script:
-                        status, payload = outer._script.pop(0)
-                    else:
-                        status, payload = 200, content_reply(
-                            outer._default_content(body)
-                        )
+                    scripted = outer._script.pop(0) if outer._script else None
+                # Outside the lock, so that a slow default_content delays
+                # only its own request.
+                status, payload = scripted or (
+                    200, content_reply(outer._default_content(body))
+                )
                 raw = (
                     payload.encode("utf-8")
                     if isinstance(payload, str)

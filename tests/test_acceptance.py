@@ -25,7 +25,7 @@ from dravlid.fixtures import (
     replay_fixture_path,
     smoke_corpus_path,
 )
-from dravlid.metrics import evaluate, report_to_json
+from dravlid.metrics import count_pairs, evaluate, report_to_json
 from dravlid.prompting import (
     PLACEHOLDER,
     ExperimentConfig,
@@ -91,13 +91,13 @@ def random_instances(seed: int, count: int):
 def test_criterion_1_metric_correctness_against_oracle():
     started = time.monotonic()
 
-    report = evaluate([A, A, B], [A, B, B])
+    report = evaluate(count_pairs([A, A, B], [A, B, B]))
     assert abs(report.macro_f1 - 2 / 3) < 1e-12
     assert abs(report.weighted_f1 - 2 / 3) < 1e-12
     assert abs(report.accuracy - 2 / 3) < 1e-12
 
     for index, (gold, pred) in enumerate(random_instances(seed=101, count=1000)):
-        engine = evaluate(gold, pred)
+        engine = evaluate(count_pairs(gold, pred))
         oracle = oracle_metrics(gold, pred)
         for field in AGGREGATE_FIELDS:
             assert abs(getattr(engine, field) - getattr(oracle, field)) < 1e-12, (
@@ -105,7 +105,7 @@ def test_criterion_1_metric_correctness_against_oracle():
                 field,
             )
         if index % 10 == 0:
-            fixed = evaluate(gold, pred, macro_convention="fixed")
+            fixed = evaluate(count_pairs(gold, pred), macro_convention="fixed")
             fixed_oracle = oracle_metrics(
                 gold, pred, include_zero_support=True, fixed_label_set=True
             )
@@ -121,7 +121,7 @@ def test_criterion_1_metric_correctness_against_oracle():
 
 def test_criterion_2_weighted_recall_is_accuracy_bitwise():
     for gold, pred in random_instances(seed=202, count=1000):
-        report = evaluate(gold, pred)
+        report = evaluate(count_pairs(gold, pred))
         assert report.weighted_recall == report.accuracy
     _passed(2, "weighted recall equals accuracy bitwise on 1000 random instances")
 

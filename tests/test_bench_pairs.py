@@ -1,10 +1,13 @@
-"""The paired-run summary of scripts/bench_pairs.py, on synthetic samples.
+"""The paired-run summary and run order of scripts/bench_pairs.py, on
+synthetic samples.
 
-Only the summarising function is tested here; running the benchmark itself
-takes minutes and is left to the script.
+The summary, the order of runs and the output document are tested here,
+with a stand-in for one benchmark run; running the benchmark itself takes
+minutes and is left to the script (CI runs one short pair).
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,44 @@ def test_single_pair_and_unequal_samples():
     assert s["gain_shown"]
     with pytest.raises(ValueError):
         bench_pairs.summarize(SETUP, [1.0, 2.0], [1.0])
+
+
+def fake_run_once(calls):
+    """A run_once that records (tree, workload) and reads 100 on the base, 150 on the change."""
+    def run_once(tree, workload, seed, seconds):
+        side = "change" if tree == bench_pairs.ROOT else "base"
+        calls.append((side, workload))
+        value = 150.0 if side == "change" else 100.0
+        return {"correct": True, "values": {"tokens_per_s": value, "setup_s": 1.0,
+                                            "peak_rss_mb": 90.0, "ok_ratio": 1.0}}
+    return run_once
+
+
+def test_workloads_interleave_within_each_pair(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once(calls))
+    runs = bench_pairs.measure(tmp_path, ["w1", "w2"], seed=0, pairs=2, seconds=1)
+    assert calls == [
+        ("base", "w1"), ("change", "w1"), ("base", "w2"), ("change", "w2"),
+        ("change", "w1"), ("base", "w1"), ("change", "w2"), ("base", "w2"),
+    ]
+    assert [len(runs[w][side]) for w in ("w1", "w2") for side in ("base", "change")] == [2] * 4
+
+
+def test_each_workload_is_recorded_under_its_name(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once(calls))
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: "0" * 40)
+    out = tmp_path / "bench.json"
+    out.write_text('{"kept": {"seed 9": {}}}')
+    assert bench_pairs.main(["--base", "HEAD", "--workload", "w1", "--workload", "w2",
+                             "--workload", "w1", "--seed", "3", "--pairs", "1",
+                             "--seconds", "1", "--out", str(out)]) == 0
+    document = json.loads(out.read_text())
+    assert sorted(document) == ["kept", "w1", "w2"]
+    assert len(calls) == 4  # a repeated --workload is measured once
+    for workload in ("w1", "w2"):
+        entry = document[workload]["seed 3"]
+        assert entry["correct"] == {"base": 1, "change": 1}
+        tokens = entry["metrics"]["tokens_per_s"]
+        assert (tokens["base"]["median"], tokens["change"]["median"]) == (100.0, 150.0)

@@ -77,7 +77,7 @@ class TestResolvePredictions:
         assert resolved[0].from_cache is True
 
     def test_empty_input_empty_output(self):
-        assert resolve_predictions([], KN, "map_to_other") == []
+        assert list(resolve_predictions([], KN, "map_to_other")) == []
 
 
 class TestEstimatorConventions:

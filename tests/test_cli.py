@@ -444,6 +444,23 @@ class TestClassifyLive:
              "--retry-base-delay", "0", *extra]
         )
 
+    def test_two_workers_overlap_two_slow_replies(self, tmp_path, capsys):
+        corpus = write_lines(tmp_path / "c.tsv", "hello\ten", "mane\tkn")
+        served = []
+
+        def slow(body):
+            start = time.monotonic()
+            time.sleep(0.2)
+            served.append((start, time.monotonic()))
+            return "en"
+
+        with StubChatServer(default_content=slow, keep_alive=True) as server:
+            assert self.classify(corpus, tmp_path / "cache.jsonl", server,
+                                 "--max-workers", "2", "--out", str(tmp_path / "p")) == 0
+        capsys.readouterr()
+        (first_start, first_end), (second_start, _) = sorted(served)
+        assert second_start < first_end  # the stub served both at once
+
     def test_end_to_end_with_cache_reuse(self, tmp_path, capsys):
         corpus = write_lines(tmp_path / "c.tsv", "hello\ten", "mane\tkn")
         cache = tmp_path / "cache.jsonl"

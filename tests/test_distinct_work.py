@@ -22,7 +22,7 @@ from dravlid.backends import BaselineBackend, LiveBackend, RawPrediction, Replay
 from conftest import token_rows
 from dravlid.baseline import classify_baseline, default_lexicons
 from dravlid.cache import ResponseCache, make_record
-from dravlid.classifiers import WordPrediction, resolve_predictions
+from dravlid.classifiers import resolve_predictions
 from dravlid.corpus import parse_corpus
 from dravlid.errors import UnparseableResponseError
 from dravlid.prompting import ExperimentConfig, render_prompt
@@ -160,7 +160,11 @@ def test_resolve_normalizes_each_distinct_reply_once(monkeypatch):
     assert [p.unparseable for p in resolved] == [
         False, False, False, False, True, False, True,
     ]
-    assert resolved[3] is resolved[5]
+    # One table row per distinct reply, shared by every entry with that reply.
+    assert len(resolved.table) == 3
+    assert resolved.rows[0] is resolved.rows[1] is resolved.rows[2]
+    assert resolved.rows[3] is resolved.rows[5]
+    assert resolved.rows[4] is resolved.rows[6]
 
 
 def test_strict_names_the_first_unparseable_token_after_repeats():
@@ -236,17 +240,13 @@ _TEXT = st.text(
 
 @st.composite
 def predictions_and_index(draw):
-    """A pool of predictions and a token index into it, with repeats."""
+    """Resolved replies, some of them codes, and a token index into them, with repeats."""
     pool = draw(
         st.lists(
             st.builds(
-                lambda word, raw, category, from_cache, unparseable: WordPrediction(
-                    word, raw, category, code_for(category, KN), from_cache, unparseable
-                ),
+                RawPrediction,
                 _TEXT.filter(str.strip),
-                _TEXT,
-                st.sampled_from(Category),
-                st.booleans(),
+                st.one_of(_TEXT, st.sampled_from([*valid_codes(KN), "Kannada."])),
                 st.booleans(),
             ),
             min_size=1,
@@ -254,7 +254,7 @@ def predictions_and_index(draw):
         )
     )
     index = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=20))
-    return pool, index
+    return resolve_predictions(pool, KN), index
 
 
 @given(pool_and_index=predictions_and_index())

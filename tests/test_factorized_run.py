@@ -1,28 +1,33 @@
 """A run factorizes its corpus once and works per distinct word from there.
 
-`Dataset.words` and `Dataset.index` are built on first use; a run sends
-only the distinct words to its backend, resolves each reply once, counts
-the manifest from the index and writes the predictions file through it.
-Every output must equal what a naive loop over the tokens, one backend
-call per token, would give.
+`Dataset.words`, `Dataset.index` and `Dataset.gold_words` are built on
+first use; a run sends only the distinct words to its backend, resolves
+each distinct reply once, counts the manifest from the index, writes the
+predictions file through it and is scored from the (gold, word) pair
+counts. Every output must equal what a naive loop over the tokens, one
+backend call per token, would give.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import random
 import tracemalloc
 import zlib
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dravlid.backends import BaselineBackend, LiveBackend, ReplayBackend
+from dravlid.backends import BaselineBackend, LiveBackend, RawPrediction, ReplayBackend
 from dravlid.cache import ResponseCache, make_record
 from dravlid.classifiers import resolve_predictions
+from dravlid.cli import main
 from dravlid.corpus import Dataset, compute_stats, parse_corpus
 from dravlid.errors import UnparseableResponseError
-from dravlid.metrics import evaluate, report_to_json
-from dravlid.prompting import ExperimentConfig, render_prompt
+from dravlid.metrics import count_pairs, evaluate, report_to_json, reports_to_markdown
+from dravlid.prompting import DEFAULT_MODEL_ID, ExperimentConfig, render_prompt, sweep_configs
 from dravlid.runner import (
     evaluate_run,
     read_predictions_jsonl,
@@ -143,12 +148,93 @@ def test_run_write_and_evaluate_match_a_per_token_reference(
     words, read_categories = read_predictions_jsonl(path, task)
     assert words == ds.surfaces()
     if None in ds.golds:
-        with pytest.raises(ValueError, match="gold label"):
-            evaluate_run(ds, read_categories)
-    else:
-        assert report_to_json(evaluate_run(ds, read_categories, run_label="r")) == (
-            report_to_json(evaluate(list(ds.golds), categories, run_label="r"))
+        for predictions in (read_categories, result):
+            with pytest.raises(ValueError, match="gold label"):
+                evaluate_run(ds, predictions)
+        return
+    for macro in ("support", "fixed"):
+        reference = evaluate(
+            count_pairs(list(ds.golds), categories), run_label="r", macro_convention=macro
         )
+        # From the file's per-token categories, and from the run's (gold,
+        # word) pair counts: equal float for float.
+        assert evaluate_run(ds, read_categories, "r", macro) == reference
+        assert evaluate_run(ds, result, "r", macro) == reference
+        assert report_to_json(evaluate_run(ds, result, "r", macro)) == report_to_json(reference)
+
+
+def reply_at(word: str, temperature: float) -> str:
+    digest = hashlib.blake2b(f"{word}\0{temperature}".encode("utf-8"), digest_size=2).digest()
+    return REPLIES[int.from_bytes(digest, "big") % len(REPLIES)]
+
+
+SWEEP_TEMPERATURES = (0.7, 0.9)
+
+
+@given(
+    corpus=corpora(),
+    policy=st.sampled_from(["map_to_other", "strict"]),
+    macro=st.sampled_from(["support", "fixed"]),
+)
+@example(  # "ba" has two gold labels, and its replies at 0.7 and 0.9 ("sym",
+    # "???") give categories no gold label has
+    corpus=(KN, "ba\ten\na\tkn\nba\tkn\n"), policy="map_to_other", macro="support"
+)
+def test_sweep_matches_a_per_token_reference(corpus, policy, macro, tmp_path_factory):
+    """`sweep` through main: predictions files, manifest counts, report files
+    and stdout equal one resolve_predictions call per token and a report
+    from per-token (gold, pred) pair counts."""
+    task, text = corpus
+    work = tmp_path_factory.mktemp("sweep")
+    corpus_path, cache, runs = work / "corpus.tsv", work / "cache.jsonl", work / "runs"
+    corpus_path.write_text(text, encoding="utf-8")
+    ds = parse_corpus(text, task)
+    configs = sweep_configs(task, DEFAULT_MODEL_ID, SWEEP_TEMPERATURES)
+    cache.write_text("".join(
+        make_record(c.model_id, c.temperature, render_prompt(w, task),
+                    reply_at(w, c.temperature)).to_json_line() + "\n"
+        for c in configs for w in ds.words
+    ), encoding="utf-8")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["sweep", str(corpus_path), "--task", task.value, "--backend", "replay",
+                     "--cache", str(cache), "--policy", policy, "--macro", macro,
+                     "--temperatures", ",".join(map(str, SWEEP_TEMPERATURES)),
+                     "--out-dir", str(runs)])
+
+    reports = []
+    for config in configs:
+        lines, categories = [], []
+        try:
+            for word in ds.surfaces():
+                raw = RawPrediction(word, reply_at(word, config.temperature), True)
+                (p,) = resolve_predictions([raw], task, policy)
+                lines.append(json.dumps(
+                    {"word": p.word, "raw_response": p.raw_response,
+                     "category_code": p.category_code},
+                    ensure_ascii=False, sort_keys=True) + "\n")
+                categories.append((p.category, p.unparseable))
+        except UnparseableResponseError as exc:
+            # Strict stops the sweep at the first unparseable token in corpus order.
+            assert (code, stderr.getvalue()) == (2, f"dravlid: data error: {exc}\n")
+            assert not (runs / f"{config.run_label}.predictions.jsonl").exists()
+            return
+        label = config.run_label
+        assert (runs / f"{label}.predictions.jsonl").read_bytes() == "".join(lines).encode()
+        manifest = json.loads((runs / f"{label}.manifest.json").read_text(encoding="utf-8"))
+        assert (manifest["token_count"], manifest["cache_hits"], manifest["unparseable_count"]) \
+            == (len(ds), len(ds), sum(flag for _, flag in categories))
+        if None not in ds.golds:
+            report = evaluate(count_pairs(list(ds.golds), [c for c, _ in categories]),
+                              run_label=label, macro_convention=macro)
+            assert (runs / f"{label}.report.json").read_text(encoding="utf-8") \
+                == report_to_json(report)
+            reports.append(report)
+    assert code == 0 and stderr.getvalue() == ""
+    assert stdout.getvalue() == (
+        reports_to_markdown(reports) if reports
+        else f"ran {len(configs)} unlabeled sweep runs over {len(ds)} tokens\n"
+    )
 
 
 class TestFactorization:

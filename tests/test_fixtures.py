@@ -19,7 +19,7 @@ from dravlid.fixtures import (
     replay_fixture_path,
     smoke_corpus_path,
 )
-from dravlid.metrics import evaluate, report_to_dict, report_to_json
+from dravlid.metrics import count_pairs, evaluate, report_to_dict, report_to_json
 from dravlid.prompting import ExperimentConfig, render_prompt
 from dravlid.runner import evaluate_run, run_experiment
 from dravlid.taxonomy import (
@@ -162,7 +162,7 @@ class TestOracle:
             config = ExperimentConfig(task=task, temperature=0.7)
             result = run_experiment(ds, config, backend)
             gold = ds.gold_categories()
-            report = evaluate(gold, list(result.predictions))
+            report = evaluate(count_pairs(gold, list(result.predictions)))
             oracle: OracleResult = oracle_metrics(gold, list(result.predictions))
             report_dict = report_to_dict(report)
             for field in (

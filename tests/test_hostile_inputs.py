@@ -3,7 +3,8 @@
 Each input surface that reads JSON (cache and replay files, predictions
 files, saved reports, chat reply bodies) meets deep nesting, numbers no
 float holds and lone surrogates; token and lexicon files meet bytes that
-are not UTF-8, and --model a lone surrogate from such an argv byte. Every case must end in its exit code with
+are not UTF-8 and lone carriage returns, and --model a lone surrogate from
+such an argv byte. Every case must end in its exit code with
 one stderr line that names the file and line where there is one, and no
 traceback.
 """
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from dravlid.baseline import load_wordlist
 from dravlid.cache import make_record
 from dravlid.cli import main
 from dravlid.fixtures import replay_fixture_path, smoke_corpus_path
@@ -240,6 +242,71 @@ class TestBytesNotUtf8:
                      "--lexicon-dir", str(lexicons)]) == 2
         one_error_line(capsys, f"dravlid: data error: {names}: 'utf-8' codec can't "
                        "decode byte 0xff in position 2: invalid start byte")
+
+
+class TestLoneCarriageReturn:
+    """Token, predictions and lexicon files end lines at LF only, as a string
+    does: a lone CR stays inside its line, and one CR before LF is dropped."""
+
+    @pytest.mark.parametrize("command", ["stats", "classify", "evaluate"])
+    def test_in_a_corpus_surface_is_data_error_naming_line_1(self, tmp_path, capsys, command):
+        corpus = tmp_path / "c.tsv"
+        corpus.write_bytes(b"ab\rcd\ten\nef\ten\n")
+        corpus = str(corpus)
+        argv = {
+            "stats": ["stats", corpus],
+            "classify": ["classify", corpus, "--task", "kn", "--backend", "baseline"],
+            "evaluate": ["evaluate", "--gold", corpus, "--pred", corpus],
+        }[command]
+        assert main(argv) == 2
+        one_error_line(capsys, f"dravlid: data error: {corpus}: line 1: "
+                       "token surface contains tab or newline: 'ab\\rcd'")
+
+    def test_crlf_corpus_gives_the_outputs_of_its_lf_twin(self, tmp_path, capsys):
+        lf = Path(KN_SMOKE).read_bytes()
+        assert b"\r" not in lf
+        outputs = []
+        for name, data in (("lf", lf), ("crlf", lf.replace(b"\n", b"\r\n"))):
+            corpus = tmp_path / f"{name}.tsv"
+            corpus.write_bytes(data)
+            runs = tmp_path / name
+            commands = (
+                ["stats", str(corpus), "--format", "json"],
+                ["classify", str(corpus), "--task", "kn", "--backend", "baseline"],
+                ["evaluate", "--gold", str(corpus), "--pred", str(tmp_path / "pred.jsonl")],
+                ["sweep", str(corpus), "--task", "kn", "--backend", "replay",
+                 "--cache", str(KN_REPLAY), "--out-dir", str(runs)],
+            )
+            for argv in commands:
+                assert main(argv) == 0
+                outputs.append(capsys.readouterr().out.replace(str(corpus), "CORPUS"))
+                if argv[0] == "classify" and name == "lf":
+                    (tmp_path / "pred.jsonl").write_text(outputs[-1], encoding="utf-8")
+            outputs.append(sorted(
+                (path.name, path.read_bytes())
+                for path in [*runs.glob("*.predictions.jsonl"), *runs.glob("*.report.json")]
+            ))
+        assert outputs[:5] == outputs[5:]
+
+    def test_predictions_line_numbers_count_lf_only(self, tmp_path, capsys):
+        gold = write(tmp_path / "g.tsv", "a\ten\nb\ten\n")
+        pred = tmp_path / "p.jsonl"
+        # JSON takes a CR as whitespace, so line 1 is one whole object.
+        pred.write_bytes(b'{"word": "a",\r"category_code": "en"}\r\n'
+                         b'{"word": "b", "category_code": "zz"}\n')
+        assert main(["evaluate", "--gold", gold, "--pred", str(pred)]) == 2
+        one_error_line(capsys, f"dravlid: data error: {pred}: line 2: bad predictions line")
+
+    def test_bad_byte_line_counts_lf_only(self, tmp_path, capsys):
+        corpus = tmp_path / "c.tsv"
+        corpus.write_bytes(b"a\ten\nb\rc\ten\nd\xff\ten\n")
+        assert main(["stats", str(corpus)]) == 2
+        one_error_line(capsys, f"dravlid: data error: {corpus}: line 3: 'utf-8' codec")
+
+    def test_lexicon_entry_keeps_its_lone_cr(self, tmp_path):
+        path = tmp_path / "names.txt"
+        path.write_bytes(b"Ra\rma\nSita\r\n")
+        assert load_wordlist(path) == ["Ra\rma", "Sita"]
 
 
 class TestModelFlag:

@@ -11,6 +11,7 @@ from dravlid.metrics import (
     REPORT_ROWS,
     MetricReport,
     build_confusion,
+    count_pairs,
     evaluate,
     per_class_metrics,
     report_to_json,
@@ -42,7 +43,7 @@ class TestWorkedExample:
     """gold [A,A,B], pred [A,B,B]: every value here is hand-counted."""
 
     def setup_method(self):
-        self.report = evaluate([A, A, B], [A, B, B])
+        self.report = evaluate(count_pairs([A, A, B], [A, B, B]))
 
     def test_macro_f1_is_two_thirds(self):
         assert abs(self.report.macro_f1 - 2 / 3) < 1e-12
@@ -77,54 +78,54 @@ class TestWorkedExample:
 
 class TestEdgeCases:
     def test_perfect_predictions_are_all_ones(self):
-        report = evaluate([A, B, C], [A, B, C])
+        report = evaluate(count_pairs([A, B, C], [A, B, C]))
         for field in HEADLINE_FIELDS:
             assert getattr(report, field) == 1.0
 
     def test_all_wrong_zero_division_yields_zero(self):
         # B is never predicted and A never appears in gold: both directions
         # of zero denominators occur, and nothing raises.
-        report = evaluate([B, B], [A, A])
+        report = evaluate(count_pairs([B, B], [A, A]))
         assert report.accuracy == 0.0
         assert report.macro_f1 == 0.0
         assert report.weighted_precision == 0.0
 
     def test_single_instance(self):
-        report = evaluate([A], [A])
+        report = evaluate(count_pairs([A], [A]))
         assert report.accuracy == 1.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            evaluate([A], [A, B])
+            evaluate(count_pairs([A], [A, B]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            evaluate([], [])
+            evaluate(count_pairs([], []))
 
 
 class TestConfusionMatrix:
     def test_cell_conservation(self):
-        cm = build_confusion([A, A, B, C], [A, B, B, C])
+        cm = build_confusion(count_pairs([A, A, B, C], [A, B, B, C]))
         assert sum(sum(row) for row in cm.counts) == cm.n == 4
 
     def test_labels_in_canonical_order(self):
-        cm = build_confusion([C, A], [A, C])
+        cm = build_confusion(count_pairs([C, A], [A, C]))
         assert cm.labels == (A, C)
 
     def test_count_lookup(self):
-        cm = build_confusion([A, A, B], [A, B, B])
+        cm = build_confusion(count_pairs([A, A, B], [A, B, B]))
         assert cm.count(A, A) == 1
         assert cm.count(A, B) == 1
         assert cm.count(B, A) == 0
 
     def test_explicit_labels_must_cover_observed(self):
         with pytest.raises(ValueError, match="Mixed"):
-            build_confusion([A, C], [A, A], labels=[A, B])
+            build_confusion(count_pairs([A, C], [A, A]), labels=[A, B])
 
     @given(gold_pred_pairs(max_n=60))
     def test_row_sums_are_gold_counts(self, pair):
         gold, pred = pair
-        cm = build_confusion(gold, pred)
+        cm = build_confusion(count_pairs(gold, pred))
         for i, label in enumerate(cm.labels):
             assert cm.row_sum(i) == sum(1 for g in gold if g is label)
             assert cm.col_sum(i) == sum(1 for p in pred if p is label)
@@ -134,7 +135,7 @@ class TestAgainstOracle:
     @given(gold_pred_pairs())
     def test_support_convention_matches_oracle(self, pair):
         gold, pred = pair
-        report = evaluate(gold, pred, macro_convention="support")
+        report = evaluate(count_pairs(gold, pred), macro_convention="support")
         expected = oracle_metrics(gold, pred)
         for field in HEADLINE_FIELDS:
             assert abs(getattr(report, field) - getattr(expected, field)) < 1e-12, field
@@ -142,7 +143,7 @@ class TestAgainstOracle:
     @given(gold_pred_pairs())
     def test_fixed_convention_matches_oracle(self, pair):
         gold, pred = pair
-        report = evaluate(gold, pred, macro_convention="fixed")
+        report = evaluate(count_pairs(gold, pred), macro_convention="fixed")
         expected = oracle_metrics(
             gold, pred, include_zero_support=True, fixed_label_set=True
         )
@@ -152,13 +153,13 @@ class TestAgainstOracle:
     @given(gold_pred_pairs())
     def test_weighted_recall_is_accuracy_bitwise(self, pair):
         gold, pred = pair
-        report = evaluate(gold, pred)
+        report = evaluate(count_pairs(gold, pred))
         assert report.weighted_recall == report.accuracy
 
     @given(gold_pred_pairs(max_n=80))
     def test_per_class_counts_match_oracle(self, pair):
         gold, pred = pair
-        report = evaluate(gold, pred)
+        report = evaluate(count_pairs(gold, pred))
         expected = {m.category: m for m in oracle_metrics(gold, pred).per_class}
         for m in report.per_class:
             o = expected[m.category]
@@ -169,19 +170,19 @@ class TestAgainstOracle:
 
 class TestMacroConventions:
     def test_fixed_includes_all_seven(self):
-        report = evaluate([A, B], [A, B], macro_convention="fixed")
+        report = evaluate(count_pairs([A, B], [A, B]), macro_convention="fixed")
         assert len(report.per_class) == 7
         # Five categories contribute zeros to the macro pool.
         assert report.macro_f1 == pytest.approx(2 / 7, abs=1e-12)
 
     def test_support_ignores_unseen(self):
-        report = evaluate([A, B], [A, B], macro_convention="support")
+        report = evaluate(count_pairs([A, B], [A, B]), macro_convention="support")
         assert len(report.per_class) == 2
         assert report.macro_f1 == 1.0
 
     def test_prediction_only_class_counted_not_averaged(self):
         # C never occurs in gold but is predicted once.
-        report = evaluate([A, A, B], [A, C, B], macro_convention="support")
+        report = evaluate(count_pairs([A, A, B], [A, C, B]), macro_convention="support")
         assert report.prediction_only_classes == 1
         # Macro still averages over A and B only.
         by_cat = {m.category: m for m in report.per_class}
@@ -191,17 +192,17 @@ class TestMacroConventions:
         )
 
     def test_fixed_vs_support_prediction_only_agrees(self):
-        report = evaluate([A, A, B], [A, C, B], macro_convention="fixed")
+        report = evaluate(count_pairs([A, A, B], [A, C, B]), macro_convention="fixed")
         assert report.prediction_only_classes == 1
 
     def test_unknown_convention_rejected(self):
         with pytest.raises(ValueError):
-            evaluate([A], [A], macro_convention="micro")
+            evaluate(count_pairs([A], [A]), macro_convention="micro")
 
 
 class TestRendering:
     def setup_method(self):
-        self.report = evaluate([A, A, B], [A, B, B], run_label="demo")
+        self.report = evaluate(count_pairs([A, A, B], [A, B, B]), run_label="demo")
 
     def test_markdown_row_order_and_rounding(self):
         lines = report_to_markdown(self.report).splitlines()
@@ -220,7 +221,7 @@ class TestRendering:
         assert "| Weighted Precision | 0.8333 |" in lines
 
     def test_multi_run_columns(self):
-        other = evaluate([A, B], [A, B], run_label="clean")
+        other = evaluate(count_pairs([A, B], [A, B]), run_label="clean")
         table = reports_to_markdown([self.report, other])
         assert "| Metric | demo | clean |" in table
         assert "| Accuracy | 0.6667 | 1.0000 |" in table
@@ -246,6 +247,6 @@ class TestRendering:
 
 class TestReportShape:
     def test_report_dataclass_fields(self):
-        report = evaluate([A], [A])
+        report = evaluate(count_pairs([A], [A]))
         assert isinstance(report, MetricReport)
-        assert per_class_metrics(build_confusion([A], [A]))[0].support == 1
+        assert per_class_metrics(build_confusion(count_pairs([A], [A])))[0].support == 1

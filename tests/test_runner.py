@@ -179,9 +179,9 @@ class TestDeterminism:
         ds = parse_corpus_file(smoke_corpus_path(KN), KN)
         backend = ReplayBackend.from_jsonl(replay_fixture_path(KN))
         result = run_experiment(ds, ExperimentConfig(task=KN), backend)
-        from dravlid.metrics import build_confusion
+        from dravlid.metrics import build_confusion, count_pairs
 
-        cm = build_confusion(ds.gold_categories(), list(result.predictions))
+        cm = build_confusion(count_pairs(ds.gold_categories(), list(result.predictions)))
         assert len(result.predictions) == len(ds) == cm.n
         assert sum(sum(row) for row in cm.counts) == cm.n
 
