@@ -15,9 +15,10 @@ the machine's load falls on both sides and every workload alike. For each
 end-to-end metric that BENCHMARK.json declares, the output records both
 sides' medians and quartiles, how many pairs the change won, and the
 relative change of the medians against the metric's bound, with the seed,
-CPU count and Python version, under the workload's name and the seed. What
---out already holds for other workloads and seeds is kept. Standard
-library only.
+CPU count and Python version, under the workload's name and the seed. A
+gain is shown for no metric of a workload where any run, on either side,
+was not correct. What --out already holds for other workloads and seeds is
+kept. Standard library only.
 """
 
 from __future__ import annotations
@@ -49,14 +50,16 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(metric: dict, base: list[float], change: list[float]) -> dict:
+def summarize(metric: dict, base: list[float], change: list[float],
+              all_correct: bool = True) -> dict:
     """Compare one metric's paired samples (base[i] ran beside change[i]).
 
     metric is its BENCHMARK.json entry: name, unit, better, bound. The
     relative change is of the medians, signed so that a positive value is
     a rise. `worse_than_bound` says whether the change lost more than the
-    bound; `gain_shown` whether it won WIN_SHARE of the pairs and its median
-    moved the right way by more than the base's quartile spread.
+    bound; `gain_shown` whether every run was correct, and the change won
+    WIN_SHARE of the pairs and its median moved the right way by more than
+    the base's quartile spread.
     """
     if len(base) != len(change) or not base:
         raise ValueError("need the same number of base and change samples, at least one")
@@ -77,7 +80,8 @@ def summarize(metric: dict, base: list[float], change: list[float]) -> dict:
         "pairs": len(base),
         "relative_change": relative,
         "worse_than_bound": worse > metric["bound"],
-        "gain_shown": wins >= math.ceil(WIN_SHARE * len(base)) and gain > b3 - b1,
+        "gain_shown": (all_correct and wins >= math.ceil(WIN_SHARE * len(base))
+                       and gain > b3 - b1),
     }
 
 
@@ -158,6 +162,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     for workload in workloads:
         sides = runs[workload]
+        correct = {side: sum(r["correct"] for r in sides[side]) for side in sides}
+        all_correct = correct == {side: args.pairs for side in sides}
         document.setdefault(workload, {})[f"seed {args.seed}"] = {
             "base": {"rev": args.base, "commit": base_commit},
             "change": change,
@@ -167,10 +173,11 @@ def main(argv: list[str] | None = None) -> int:
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
             "platform": platform.platform(),
-            "correct": {side: sum(r["correct"] for r in sides[side]) for side in sides},
+            "correct": correct,
             "metrics": {
                 m["name"]: summarize(m, [r["values"][m["name"]] for r in sides["base"]],
-                                     [r["values"][m["name"]] for r in sides["change"]])
+                                     [r["values"][m["name"]] for r in sides["change"]],
+                                     all_correct)
                 for m in declared
             },
         }

@@ -1,16 +1,18 @@
 """Classifier backends: one cache-through path for the LLM, plus the rule baseline.
 
-Every backend answers classify_words(words, config) -> list[RawPrediction].
-LiveBackend looks each distinct word up in the response cache and sends
-only the misses to its miss handler, which asks the chat endpoint and
-persists the reply. ReplayBackend is that same path over a read-only
-record set: a miss is a FixtureMissError, never a request.
+Every backend answers classify_words(words, config) -> (replies, from_cache):
+distinct words in, two columns out, each word's verbatim reply and whether
+the cache held it. Words are deduplicated before they get here, by
+corpus.Dataset. LiveBackend looks each word up in the response cache and
+sends only the misses to its miss handler, which asks the chat endpoint
+and persists the reply; it refuses a repeated word, which would cost a
+second request. ReplayBackend is that same path over a read-only record
+set: a miss is a FixtureMissError, never a request.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
@@ -31,21 +33,14 @@ from dravlid.transport import ChatRequest, ChatTransport
 DEFAULT_MAX_WORKERS = 4
 
 
-@dataclass(frozen=True)
-class RawPrediction:
-    """The verbatim first-choice reply for one word under one config."""
-
-    word: str
-    raw_response: str
-    from_cache: bool
-
-
 class Backend(Protocol):
+    """Distinct words in; each one's verbatim reply and cache flag out."""
+
     kind: str
 
     def classify_words(
         self, words: Sequence[str], config: ExperimentConfig
-    ) -> list[RawPrediction]: ...
+    ) -> tuple[list[str], list[bool]]: ...
 
 
 def check_max_workers(max_workers: int) -> int:
@@ -71,41 +66,35 @@ class LiveBackend:
 
     def classify_words(
         self, words: Sequence[str], config: ExperimentConfig
-    ) -> list[RawPrediction]:
-        """Classify a batch; results come back in input order.
+    ) -> tuple[list[str], list[bool]]:
+        """Each word's reply and whether the cache held it, in input order.
 
-        Each distinct word is rendered and looked up once, by its request
-        identity (model, temperature text, prompt), so a hit needs no key.
-        Cache hits are answered in the calling thread; only misses go to
-        _miss, at most max_workers at a time. Later occurrences of a word
-        count as cache hits.
+        Each word is rendered and looked up by its request identity (model,
+        temperature text, prompt), so a hit needs no key. Hits are answered
+        in the calling thread; only misses go to _miss, at most max_workers
+        at a time. A repeated word is a ValueError before any lookup.
         """
-        answers: dict[str, RawPrediction] = {}
-        misses: list[tuple[str, str]] = []
+        if len(set(words)) < len(words):
+            raise ValueError("repeated word: classify_words takes distinct words")
         model_id, temperature = config.model_id, temperature_text(config.temperature)
-        for word in dict.fromkeys(words):
+        replies: list[str | None] = []
+        misses: list[tuple[int, str, str]] = []
+        for word in words:
             prompt = render_prompt(word, config.task)
             reply = self.cache.get(model_id, temperature, prompt)
             if reply is None:
-                misses.append((word, prompt))
-            else:
-                answers[word] = RawPrediction(word, reply, True)
+                misses.append((len(replies), word, prompt))
+            replies.append(reply)
+        hits = [reply is not None for reply in replies]
 
         if len(misses) > 1 and self.max_workers > 1:
             with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                replies = list(pool.map(lambda m: self._miss(*m, config), misses))
+                answers = list(pool.map(lambda m: self._miss(*m[1:], config), misses))
         else:
-            replies = [self._miss(word, prompt, config) for word, prompt in misses]
-        for (word, _), reply in zip(misses, replies):
-            answers[word] = RawPrediction(word, *reply)
-
-        results = []
-        for word in words:
-            prediction = answers[word]
-            if not prediction.from_cache:
-                answers[word] = RawPrediction(word, prediction.raw_response, True)
-            results.append(prediction)
-        return results
+            answers = [self._miss(word, prompt, config) for _, word, prompt in misses]
+        for (i, _, _), (reply, hit) in zip(misses, answers):
+            replies[i], hits[i] = reply, hit
+        return replies, hits
 
     def _miss(self, word: str, prompt: str, config: ExperimentConfig) -> tuple[str, bool]:
         """Answer one uncached prompt: (raw_response, from_cache)."""
@@ -167,12 +156,9 @@ class BaselineBackend:
 
     def classify_words(
         self, words: Sequence[str], config: ExperimentConfig
-    ) -> list[RawPrediction]:
-        """Classify each distinct word once; results come back in input order."""
+    ) -> tuple[list[str], list[bool]]:
+        """Each word's wire code, in input order; none is from a cache."""
         task = config.task
         lex = self._lexicons if self._lexicons is not None else default_lexicons(task)
-        predictions = {
-            word: RawPrediction(word, code_for(classify_baseline(word, task, lex), task), False)
-            for word in dict.fromkeys(words)
-        }
-        return list(map(predictions.__getitem__, words))
+        replies = [code_for(classify_baseline(word, task, lex), task) for word in words]
+        return replies, [False] * len(replies)

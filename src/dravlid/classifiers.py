@@ -9,12 +9,12 @@ to train: fit only resolves and validates parameters.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
-from dravlid.backends import Backend, BaselineBackend, RawPrediction
+from dravlid.backends import Backend, BaselineBackend, LiveBackend
 from dravlid.baseline import LexiconSet
 from dravlid.corpus import Dataset
 from dravlid.errors import UnparseableResponseError
@@ -103,24 +103,23 @@ class Resolution(Sequence[WordPrediction]):
     def __len__(self) -> int:
         return len(self.replies)
 
-    def __getitem__(self, i: int) -> WordPrediction:
+    def __getitem__(self, i: int | slice) -> WordPrediction | list[WordPrediction]:
+        if isinstance(i, slice):
+            return list(map(self.__getitem__, range(len(self))[i]))
         category, code, unparseable = self.rows[i]
         return WordPrediction(
             self.words[i], self.replies[i], category, code, self.from_cache[i], unparseable
         )
 
 
-_word_of = attrgetter("word")
-_reply_of = attrgetter("raw_response")
-_from_cache_of = attrgetter("from_cache")
-
-
 def resolve_predictions(
-    raws: Sequence[RawPrediction],
+    words: Sequence[str],
+    replies: list[str],
+    from_cache: list[bool],
     task: TaskLanguage,
     failure_policy: str = "map_to_other",
 ) -> Resolution:
-    """Normalize raw replies into categories under the failure policy.
+    """Normalize a backend's answer columns for words into categories.
 
     map_to_other turns unrecognizable replies into Other (flagged); strict
     raises on the first one in input order, naming the word and the raw
@@ -128,21 +127,20 @@ def resolve_predictions(
     every entry with that reply reads.
     """
     check_policy(failure_policy)
-    replies = list(map(_reply_of, raws))
+    if not len(words) == len(replies) == len(from_cache):
+        raise ValueError("words, replies and from_cache differ in length")
     table: dict[str, Reply] = {}
     for reply in dict.fromkeys(replies):
         outcome = normalize_response(reply, task)
         category = outcome.category if outcome.ok else Category.OTHER
         table[reply] = Reply(category, code_for(category, task), not outcome.ok)
     if failure_policy == "strict" and any(map(attrgetter("unparseable"), table.values())):
-        first = next(raw for raw in raws if table[raw.raw_response].unparseable)
+        i = next(i for i, reply in enumerate(replies) if table[reply].unparseable)
         raise UnparseableResponseError(
-            f"could not map reply for word {first.word!r} to a category "
-            f"(raw reply: {first.raw_response!r})"
+            f"could not map reply for word {words[i]!r} to a category "
+            f"(raw reply: {replies[i]!r})"
         )
-    return Resolution(
-        list(map(_word_of, raws)), replies, list(map(_from_cache_of, raws)), table
-    )
+    return Resolution(words, replies, from_cache, table)
 
 
 @dataclass(eq=False)
@@ -186,11 +184,25 @@ class BaseWordClassifier:
         return self
 
     def predict_detailed(self, X) -> list[WordPrediction]:
+        """One prediction per word of X, each distinct word asked for once.
+
+        A repeat is a hit where a LiveBackend's cache would answer it."""
         policy = check_policy(self.failure_policy)
         words = check_words(X)
         config = self._config()
-        raws = self._backend().classify_words(words, config)
-        return list(resolve_predictions(raws, config.task, policy))
+        backend = self._backend()
+        ds = X if isinstance(X, Dataset) else Dataset(config.task, words, [None] * len(words))
+        replies, hits = backend.classify_words(ds.words, config)
+        distinct = resolve_predictions(ds.words, replies, hits, config.task, policy)
+        predictions = list(map(distinct.__getitem__, ds.index))
+        if isinstance(backend, LiveBackend):
+            seen = 0  # word ids run in first-occurrence order
+            for t, i in enumerate(ds.index):
+                if i < seen:
+                    predictions[t] = replace(predictions[t], from_cache=True)
+                else:
+                    seen += 1
+        return predictions
 
     def predict(self, X) -> list[Category]:
         return [p.category for p in self.predict_detailed(X)]
@@ -226,7 +238,8 @@ class LLMClassifier(BaseWordClassifier):
     Parameters
     ----------
     task : "kannada"/"kn" or "tamil"/"tm" (or a TaskLanguage)
-    backend : object answering classify_words(words, config)
+    backend : object answering classify_words(distinct words, config) with
+        two columns, each word's reply and whether the cache held it
     model_id, temperature, max_output_tokens : request identity
     failure_policy : "map_to_other" (default) or "strict"
     """

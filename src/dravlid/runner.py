@@ -103,12 +103,11 @@ def run_experiment(
     check_policy(failure_policy)
 
     started_at = utc_now_rfc3339()
-    raws = backend.classify_words(ds.words, config)
-    distinct = resolve_predictions(raws, config.task, failure_policy)
+    replies, hits = backend.classify_words(ds.words, config)
+    distinct = resolve_predictions(ds.words, replies, hits, config.task, failure_policy)
     finished_at = utc_now_rfc3339()
 
     index = ds.index
-    hits = distinct.from_cache
     manifest = RunManifest(
         config=config,
         corpus_path=ds.source_path,

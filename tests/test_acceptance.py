@@ -209,16 +209,14 @@ def test_criterion_6_cache_discipline_and_backoff(tmp_path):
             transport = ChatTransport(base_url=server.base_url, api_key="k")
             return LiveBackend(cache=ResponseCache(cache_path), transport=transport)
 
-        first = live_backend().classify_words(words, config)
+        first, first_hits = live_backend().classify_words(words, config)
         assert server.request_count == 50
-        assert not any(p.from_cache for p in first)
+        assert not any(first_hits)
 
-        second = live_backend().classify_words(words, config)
+        second, second_hits = live_backend().classify_words(words, config)
         assert server.request_count == 50
-        assert all(p.from_cache for p in second)
-        assert [(p.word, p.raw_response) for p in first] == [
-            (p.word, p.raw_response) for p in second
-        ]
+        assert all(second_hits)
+        assert first == second
 
     delays: list[float] = []
     with StubChatServer(lambda body: "kn") as server:

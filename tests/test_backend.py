@@ -22,6 +22,7 @@ from stub_server import StubChatServer, content_reply
 import dravlid.backends
 from dravlid.backends import BaselineBackend, LiveBackend, ReplayBackend
 from dravlid.cache import ResponseCache, make_record
+from dravlid.classifiers import LLMClassifier
 from dravlid.errors import FixtureMissError, ResponseFormatError, TransportError
 from dravlid.fixtures import replay_fixture_path, smoke_corpus_path
 from dravlid.prompting import ExperimentConfig, render_prompt
@@ -645,11 +646,8 @@ class TestLiveBackend:
             cache = ResponseCache(tmp_path / "cache.jsonl")
             backend = LiveBackend(cache, make_transport(server))
             config = ExperimentConfig(task=KN)
-            first = backend.classify_words(["mane"], config)[0]
-            assert first.raw_response == "reply:mane"
-            assert first.from_cache is False
-            second = backend.classify_words(["mane"], config)[0]
-            assert second.from_cache is True
+            assert backend.classify_words(["mane"], config) == (["reply:mane"], [False])
+            assert backend.classify_words(["mane"], config) == (["reply:mane"], [True])
             assert server.request_count == 1
 
     def test_rerun_uses_disk_cache_only(self, tmp_path):
@@ -658,22 +656,22 @@ class TestLiveBackend:
         config = ExperimentConfig(task=KN)
         with echo_server() as server:
             first_backend = LiveBackend(ResponseCache(path), make_transport(server))
-            first = first_backend.classify_words(words, config)
+            first, _ = first_backend.classify_words(words, config)
             assert server.request_count == 50
 
             second_backend = LiveBackend(ResponseCache(path), make_transport(server))
-            second = second_backend.classify_words(words, config)
+            second, hits = second_backend.classify_words(words, config)
             assert server.request_count == 50  # unchanged
-        assert [p.raw_response for p in second] == [p.raw_response for p in first]
-        assert all(p.from_cache for p in second)
+        assert second == first
+        assert all(hits)
 
     def test_duplicate_words_fetch_once(self, tmp_path):
         with echo_server() as server:
             backend = LiveBackend(
                 ResponseCache(tmp_path / "c.jsonl"), make_transport(server)
             )
-            results = backend.classify_words(
-                ["same", "other", "same", "same"], ExperimentConfig(task=KN)
+            results = LLMClassifier(task=KN, backend=backend).predict_detailed(
+                ["same", "other", "same", "same"]
             )
             assert server.request_count == 2
             assert [r.raw_response for r in results] == [
@@ -684,6 +682,17 @@ class TestLiveBackend:
             ]
             assert [r.from_cache for r in results] == [False, False, True, True]
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_repeated_word_is_refused_before_any_lookup(self, tmp_path, workers):
+        cache = ResponseCache(tmp_path / "c.jsonl")
+        cache.get = lambda *request: pytest.fail("looked up")
+        with echo_server() as server:
+            backend = LiveBackend(cache, make_transport(server), max_workers=workers)
+            with pytest.raises(ValueError, match="repeated word"):
+                backend.classify_words(["a", "a"], ExperimentConfig(task=KN))
+            assert server.request_count == 0
+        assert len(cache) == 0
+
     def test_results_in_input_order_under_concurrency(self, tmp_path):
         words = [f"w{i}" for i in range(24)]
         with echo_server() as server:
@@ -692,9 +701,9 @@ class TestLiveBackend:
                 make_transport(server),
                 max_workers=6,
             )
-            results = backend.classify_words(words, ExperimentConfig(task=KN))
-        assert [r.word for r in results] == words
-        assert [r.raw_response for r in results] == [f"reply:{w}" for w in words]
+            replies, hits = backend.classify_words(words, ExperimentConfig(task=KN))
+        assert replies == [f"reply:{w}" for w in words]
+        assert hits == [False] * len(words)
 
     def test_temperature_isolates_cache_entries(self, tmp_path):
         with echo_server() as server:
@@ -720,10 +729,9 @@ class TestLiveBackend:
             backend.classify_words(["mane", "hello"], config)
             assert len(keyed) == 2  # each miss's record carries its key
             keyed.clear()
-            again = backend.classify_words(["hello", "mane", "hello"], config)
+            again = backend.classify_words(["hello", "mane"], config)
             assert server.request_count == 2
-        assert [p.raw_response for p in again] == ["reply:hello", "reply:mane", "reply:hello"]
-        assert all(p.from_cache for p in again)
+        assert again == (["reply:hello", "reply:mane"], [True, True])
         assert keyed == []
 
     @pytest.mark.parametrize("workers", [1, 4])
@@ -743,9 +751,7 @@ class TestReplayBackend:
     def test_answers_from_fixture(self):
         backend = ReplayBackend.from_jsonl(replay_fixture_path(KN))
         config = ExperimentConfig(task=KN, temperature=0.7)
-        result = backend.classify_words(["hello"], config)[0]
-        assert result.raw_response == "en"
-        assert result.from_cache is True
+        assert backend.classify_words(["hello"], config) == (["en"], [True])
 
     def test_covers_smoke_corpus_at_all_sweep_temperatures(self):
         from dravlid.corpus import parse_corpus_file
@@ -755,8 +761,9 @@ class TestReplayBackend:
             ds = parse_corpus_file(smoke_corpus_path(task), task)
             for temperature in (0.7, 0.8, 0.9):
                 config = ExperimentConfig(task=task, temperature=temperature)
-                results = backend.classify_words(ds.surfaces(), config)
-                assert len(results) == len(ds)
+                replies, hits = backend.classify_words(ds.surfaces(), config)
+                assert len(replies) == len(ds)
+                assert all(hits)
 
     def test_miss_names_word_and_config(self):
         backend = ReplayBackend.from_jsonl(replay_fixture_path(KN))
@@ -791,9 +798,7 @@ class TestBaselineBackend:
     def test_raw_response_is_wire_code(self):
         backend = BaselineBackend()
         config = ExperimentConfig(task=TM)
-        result = backend.classify_words(["vanakkam"], config)[0]
-        assert result.raw_response == "tm"
-        assert result.from_cache is False
+        assert backend.classify_words(["vanakkam"], config) == (["tm"], [False])
 
     def test_deterministic_batch(self):
         backend = BaselineBackend()
@@ -802,7 +807,7 @@ class TestBaselineBackend:
         first = backend.classify_words(words, config)
         second = backend.classify_words(words, config)
         assert first == second
-        assert [r.raw_response for r in first] == ["en", "kn", "sym", "name", "mixed"]
+        assert first == (["en", "kn", "sym", "name", "mixed"], [False] * 5)
 
     def test_kind_labels(self):
         assert LiveBackend(ResponseCache(None), object()).kind == "live"

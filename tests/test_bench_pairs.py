@@ -69,14 +69,16 @@ def test_single_pair_and_unequal_samples():
         bench_pairs.summarize(SETUP, [1.0, 2.0], [1.0])
 
 
-def fake_run_once(calls):
-    """A run_once that records (tree, workload) and reads 100 on the base, 150 on the change."""
+def fake_run_once(calls, incorrect=()):
+    """A run_once that records (tree, workload) and reads 100 on the base, 150 on the change;
+    a run whose (side, workload) is in incorrect is not correct."""
     def run_once(tree, workload, seed, seconds):
         side = "change" if tree == bench_pairs.ROOT else "base"
         calls.append((side, workload))
         value = 150.0 if side == "change" else 100.0
-        return {"correct": True, "values": {"tokens_per_s": value, "setup_s": 1.0,
-                                            "peak_rss_mb": 90.0, "ok_ratio": 1.0}}
+        return {"correct": (side, workload) not in incorrect,
+                "values": {"tokens_per_s": value, "setup_s": 1.0,
+                           "peak_rss_mb": 90.0, "ok_ratio": 1.0}}
     return run_once
 
 
@@ -108,3 +110,21 @@ def test_each_workload_is_recorded_under_its_name(monkeypatch, tmp_path, capsys)
         assert entry["correct"] == {"base": 1, "change": 1}
         tokens = entry["metrics"]["tokens_per_s"]
         assert (tokens["base"]["median"], tokens["change"]["median"]) == (100.0, 150.0)
+
+
+@pytest.mark.parametrize("side", ["base", "change"])
+def test_no_gain_is_shown_for_a_workload_with_an_incorrect_run(monkeypatch, tmp_path, side):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once(calls, {(side, "w1")}))
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: "0" * 40)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--base", "HEAD", "--workload", "w1", "--workload", "w2",
+                             "--seed", "3", "--pairs", "2", "--seconds", "1",
+                             "--out", str(out)]) == 0
+    document = json.loads(out.read_text())
+    wrong, right = document["w1"]["seed 3"], document["w2"]["seed 3"]
+    assert wrong["correct"] == {"base": 2, "change": 2, side: 0}
+    assert not any(m["gain_shown"] for m in wrong["metrics"].values())
+    assert wrong["metrics"]["tokens_per_s"]["wins"] == 2
+    assert right["correct"] == {"base": 2, "change": 2}
+    assert right["metrics"]["tokens_per_s"]["gain_shown"]

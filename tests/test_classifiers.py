@@ -2,7 +2,7 @@
 
 import pytest
 
-from dravlid.backends import BaselineBackend, RawPrediction, ReplayBackend
+from dravlid.backends import BaselineBackend, ReplayBackend
 from dravlid.classifiers import (
     LLMClassifier,
     RuleBasedClassifier,
@@ -19,11 +19,9 @@ from dravlid.taxonomy import Category, TaskLanguage
 KN = TaskLanguage.KANNADA
 
 
-def raws(*pairs) -> list[RawPrediction]:
-    return [
-        RawPrediction(word=w, raw_response=r, from_cache=False)
-        for w, r in pairs
-    ]
+def columns(*pairs) -> tuple[list[str], list[str], list[bool]]:
+    """(words, replies, from_cache) of (word, reply) pairs, none from a cache."""
+    return [w for w, _ in pairs], [r for _, r in pairs], [False] * len(pairs)
 
 
 class TestInputValidation:
@@ -54,7 +52,7 @@ class TestInputValidation:
 class TestResolvePredictions:
     def test_map_to_other_counts_unparseable(self):
         resolved = resolve_predictions(
-            raws(("a", "en"), ("b", "kn"), ("c", "???")), KN, "map_to_other"
+            *columns(("a", "en"), ("b", "kn"), ("c", "???")), KN, "map_to_other"
         )
         assert [p.category for p in resolved] == [
             Category.ENGLISH,
@@ -66,18 +64,32 @@ class TestResolvePredictions:
 
     def test_strict_raises_naming_word_and_reply(self):
         with pytest.raises(UnparseableResponseError) as excinfo:
-            resolve_predictions(raws(("mane", "no idea at all")), KN, "strict")
+            resolve_predictions(*columns(("mane", "no idea at all")), KN, "strict")
         message = str(excinfo.value)
         assert "mane" in message
         assert "no idea at all" in message
 
     def test_from_cache_carried_through(self):
-        raw = RawPrediction("a", "en", from_cache=True)
-        resolved = resolve_predictions([raw], KN, "map_to_other")
+        resolved = resolve_predictions(["a"], ["en"], [True], KN, "map_to_other")
         assert resolved[0].from_cache is True
 
     def test_empty_input_empty_output(self):
-        assert list(resolve_predictions([], KN, "map_to_other")) == []
+        assert list(resolve_predictions([], [], [], KN, "map_to_other")) == []
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            resolve_predictions(["a", "b"], ["en"], [False, False], KN)
+
+    @pytest.mark.parametrize("stop", [2, 3])
+    def test_slice_is_a_list_of_predictions(self, stop):
+        resolved = resolve_predictions(
+            *columns(("a", "en"), ("b", "kn"), ("c", "???")), KN, "map_to_other"
+        )
+        whole = [resolved[i] for i in range(3)]
+        assert resolved[0:stop] == whole[0:stop]
+        assert all(isinstance(p, WordPrediction) for p in resolved[0:stop])
+        assert resolved[::-1] == whole[::-1]
+        assert resolved[5:] == []
 
 
 class TestEstimatorConventions:

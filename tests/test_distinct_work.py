@@ -18,11 +18,11 @@ import dravlid.backends
 import dravlid.classifiers
 import dravlid.corpus
 import dravlid.runner
-from dravlid.backends import BaselineBackend, LiveBackend, RawPrediction, ReplayBackend
+from dravlid.backends import BaselineBackend, LiveBackend, ReplayBackend
 from conftest import token_rows
 from dravlid.baseline import classify_baseline, default_lexicons
 from dravlid.cache import ResponseCache, make_record
-from dravlid.classifiers import resolve_predictions
+from dravlid.classifiers import RuleBasedClassifier, resolve_predictions
 from dravlid.corpus import parse_corpus
 from dravlid.errors import UnparseableResponseError
 from dravlid.prompting import ExperimentConfig, render_prompt
@@ -48,13 +48,12 @@ def counting(monkeypatch, module, name):
 
 def test_baseline_classifies_each_distinct_word_once(monkeypatch):
     calls = counting(monkeypatch, dravlid.backends, "classify_baseline")
-    results = BaselineBackend().classify_words(WORDS, ExperimentConfig(task=KN))
+    results = RuleBasedClassifier(task=KN).predict_detailed(WORDS)
 
     assert sorted(args[0] for args in calls) == sorted(set(WORDS))
     lex = default_lexicons(KN)
-    assert results == [
-        RawPrediction(w, code_for(classify_baseline(w, KN, lex), KN), False)
-        for w in WORDS
+    assert [(p.word, p.raw_response, p.from_cache) for p in results] == [
+        (w, code_for(classify_baseline(w, KN, lex), KN), False) for w in WORDS
     ]
 
 
@@ -138,21 +137,19 @@ def test_columnar_parse_matches_per_line_reference(pool, picks):
 
 def test_resolve_normalizes_each_distinct_reply_once(monkeypatch):
     raws = [
-        RawPrediction("a", "en", False),
-        RawPrediction("b", "en", True),
-        RawPrediction("a", "en", True),
-        RawPrediction("c", "Kannada.", False),
-        RawPrediction("d", "???", False),
-        RawPrediction("c", "Kannada.", False),
-        RawPrediction("e", "???", True),
+        ("a", "en", False),
+        ("b", "en", True),
+        ("a", "en", True),
+        ("c", "Kannada.", False),
+        ("d", "???", False),
+        ("c", "Kannada.", False),
+        ("e", "???", True),
     ]
     calls = counting(monkeypatch, dravlid.classifiers, "normalize_response")
-    resolved = resolve_predictions(raws, KN)
+    resolved = resolve_predictions(*map(list, zip(*raws)), KN)
 
     assert sorted(args[0] for args in calls) == ["???", "Kannada.", "en"]
-    assert [(p.word, p.raw_response, p.from_cache) for p in resolved] == [
-        (r.word, r.raw_response, r.from_cache) for r in raws
-    ]
+    assert [(p.word, p.raw_response, p.from_cache) for p in resolved] == raws
     assert [p.category for p in resolved] == [
         Category.ENGLISH, Category.ENGLISH, Category.ENGLISH,
         Category.DRAVIDIAN, Category.OTHER, Category.DRAVIDIAN, Category.OTHER,
@@ -168,16 +165,11 @@ def test_resolve_normalizes_each_distinct_reply_once(monkeypatch):
 
 
 def test_strict_names_the_first_unparseable_token_after_repeats():
-    raws = [
-        RawPrediction("mane", "kn", False),
-        RawPrediction("mane", "kn", True),
-        RawPrediction("hello", "en", False),
-        RawPrediction("mane", "kn", True),
-        RawPrediction("zzq", "no idea", False),
-        RawPrediction("qqz", "no idea", False),
-    ]
+    words = ["mane", "mane", "hello", "mane", "zzq", "qqz"]
+    replies = ["kn", "kn", "en", "kn", "no idea", "no idea"]
+    from_cache = [False, True, False, True, False, False]
     with pytest.raises(UnparseableResponseError, match="'zzq'"):
-        resolve_predictions(raws, KN, "strict")
+        resolve_predictions(words, replies, from_cache, KN, "strict")
 
 
 class _EchoTransport:
@@ -243,8 +235,7 @@ def predictions_and_index(draw):
     """Resolved replies, some of them codes, and a token index into them, with repeats."""
     pool = draw(
         st.lists(
-            st.builds(
-                RawPrediction,
+            st.tuples(
                 _TEXT.filter(str.strip),
                 st.one_of(_TEXT, st.sampled_from([*valid_codes(KN), "Kannada."])),
                 st.booleans(),
@@ -254,7 +245,7 @@ def predictions_and_index(draw):
         )
     )
     index = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=20))
-    return resolve_predictions(pool, KN), index
+    return resolve_predictions(*map(list, zip(*pool)), KN), index
 
 
 @given(pool_and_index=predictions_and_index())

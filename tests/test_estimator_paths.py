@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 import dravlid.baseline
-from dravlid.backends import RawPrediction
 from dravlid.baseline import classify_baseline, load_wordlist
 from dravlid.classifiers import LLMClassifier, RuleBasedClassifier
 from dravlid.corpus import parse_corpus_file
@@ -41,7 +40,7 @@ class RecordingBackend:
 
     def classify_words(self, words, config):
         self.calls.append(list(words))
-        return [RawPrediction(word, "en", from_cache=False) for word in words]
+        return ["en"] * len(words), [False] * len(words)
 
 
 def test_unknown_policy_raises_before_the_backend_is_called():

@@ -20,9 +20,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dravlid.backends import BaselineBackend, LiveBackend, RawPrediction, ReplayBackend
+from dravlid.backends import BaselineBackend, LiveBackend, ReplayBackend
 from dravlid.cache import ResponseCache, make_record
-from dravlid.classifiers import resolve_predictions
+from dravlid.classifiers import LLMClassifier, resolve_predictions
 from dravlid.cli import main
 from dravlid.corpus import Dataset, compute_stats, parse_corpus
 from dravlid.errors import UnparseableResponseError
@@ -69,14 +69,20 @@ def make_backend(kind, words, config):
     return LiveBackend(ResponseCache(None), EchoTransport(), max_workers=2)
 
 
+def reference_prediction(word, config, backend, policy):
+    """The prediction for one word from a backend call of its own."""
+    replies, hits = backend.classify_words([word], config)
+    (p,) = resolve_predictions([word], replies, hits, config.task, policy)
+    return p
+
+
 def reference_run(ds, config, backend, policy):
     """Predictions file bytes, categories and manifest counts from one
     backend call per token, in token order."""
     lines, categories = [], []
     hits = unparseable = 0
     for word in ds.surfaces():
-        (raw,) = backend.classify_words([word], config)
-        (p,) = resolve_predictions([raw], config.task, policy)
+        p = reference_prediction(word, config, backend, policy)
         lines.append(json.dumps(
             {"word": p.word, "raw_response": p.raw_response, "category_code": p.category_code},
             ensure_ascii=False, sort_keys=True,
@@ -163,6 +169,36 @@ def test_run_write_and_evaluate_match_a_per_token_reference(
         assert report_to_json(evaluate_run(ds, result, "r", macro)) == report_to_json(reference)
 
 
+@given(
+    words=st.lists(_WORD, min_size=1, max_size=6, unique=True).flatmap(
+        lambda vocabulary: st.lists(st.sampled_from(vocabulary), max_size=20)
+    ),
+    task=st.sampled_from(list(TaskLanguage)),
+    kind=st.sampled_from(["baseline", "replay", "live"]),
+    policy=st.sampled_from(["map_to_other", "strict"]),
+)
+def test_predict_detailed_matches_a_per_token_reference(words, task, kind, policy):
+    """Words with repeats: predict_detailed asks for each distinct word once
+    and gives what one classify_words call per token gives, a repeat of a
+    live miss reading as a cache hit."""
+    config = ExperimentConfig(task=task, temperature=0.7)
+    backend = make_backend(kind, words, config)
+    reference_backend = make_backend(kind, words, config)
+    clf = LLMClassifier(task=task, backend=backend, temperature=0.7, failure_policy=policy)
+
+    try:
+        expected = [reference_prediction(w, config, reference_backend, policy) for w in words]
+    except UnparseableResponseError as exc:
+        # Strict names the first unparseable word in input order.
+        with pytest.raises(UnparseableResponseError) as excinfo:
+            clf.predict_detailed(words)
+        assert str(excinfo.value) == str(exc)
+        return
+    assert clf.predict_detailed(words) == expected
+    if kind == "live":
+        assert backend.transport.requests == len(set(words))
+
+
 def reply_at(word: str, temperature: float) -> str:
     digest = hashlib.blake2b(f"{word}\0{temperature}".encode("utf-8"), digest_size=2).digest()
     return REPLIES[int.from_bytes(digest, "big") % len(REPLIES)]
@@ -207,8 +243,9 @@ def test_sweep_matches_a_per_token_reference(corpus, policy, macro, tmp_path_fac
         lines, categories = [], []
         try:
             for word in ds.surfaces():
-                raw = RawPrediction(word, reply_at(word, config.temperature), True)
-                (p,) = resolve_predictions([raw], task, policy)
+                (p,) = resolve_predictions(
+                    [word], [reply_at(word, config.temperature)], [True], task, policy
+                )
                 lines.append(json.dumps(
                     {"word": p.word, "raw_response": p.raw_response,
                      "category_code": p.category_code},
