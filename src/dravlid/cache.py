@@ -12,6 +12,14 @@ prompt), to the reply. The identity holds exactly what the hash covers, so
 two requests have one identity when they have one key, and a hit needs
 neither JSON nor a hash. The hash is still written with every record, so
 the file format does not change.
+
+A load that parsed at least CHECKPOINT_MIN_BYTES of the file saves the
+index beside it, as PATH.index: the replies grouped by (model_id,
+temperature text), with the bytes and lines of the file they come from and
+the SHA-256 of those bytes. The next load takes the index from there when
+the digest still matches the file's first bytes, and decodes only the lines
+after them. The file stays the only source of truth: a checkpoint that does
+not match, or that is not one, is ignored.
 """
 
 from __future__ import annotations
@@ -21,10 +29,13 @@ import json
 import logging
 import os
 import threading
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
+from typing import BinaryIO
 
 from dravlid.errors import CacheReadError, CacheWriteError
 
@@ -62,6 +73,11 @@ _STRING_FIELDS = ("cache_key", "model_id", "prompt", "raw_response", "created_at
 _get_fields = itemgetter(*_FIELDS)
 _raw_decode = json.JSONDecoder().raw_decode
 _JSON_WHITESPACE = " \t\n\r"
+# A load that parsed less than this writes no checkpoint, so small caches
+# (test fixtures among them) never get one.
+CHECKPOINT_MIN_BYTES = 1 << 20
+_CHECKPOINT_VERSION = 1
+_HASH_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -152,7 +168,7 @@ class ResponseCache:
     Reads are lock-free; appends go through a single lock so each request
     is persisted at most once. The first record wins for a request: one
     sampled reply per request is the run's truth. Re-sampling requires
-    cache_bust, which truncates the file up front.
+    cache_bust, which truncates the file up front and removes its checkpoint.
     """
 
     def __init__(self, path: str | Path | None, cache_bust: bool = False):
@@ -165,11 +181,26 @@ class ResponseCache:
         if self._path is not None and self._path.exists():
             if cache_bust:
                 self._path.write_text("", encoding="utf-8")
+                with suppress(OSError):
+                    _checkpoint_path(self._path).unlink(missing_ok=True)
             else:
-                records, self._mend = _read_cache_file(self._path)
-                add = self._replies.setdefault
-                for _, model_id, temperature, prompt, raw, _ in records:
-                    add(request_identity(model_id, temperature, prompt), raw)
+                self._load()
+
+    def _load(self) -> None:
+        """Fill the index from the checkpoint where it holds for the file,
+        then from the lines after it; checkpoint the index again after
+        parsing enough lines."""
+        with self._path.open("rb") as fh:
+            found = _read_checkpoint(self._path, fh)
+            self._replies, start, lines, digest = found or ({}, 0, 0, hashlib.sha256())
+            fh.seek(start)
+            records, self._mend, lines = _read_cache_file(fh, self._path, lines, digest)
+            end = fh.tell()
+        add = self._replies.setdefault
+        for _, model_id, temperature, prompt, raw, _ in records:
+            add(request_identity(model_id, temperature, prompt), raw)
+        if self._mend is None and end - start >= CHECKPOINT_MIN_BYTES:
+            _write_checkpoint(self._path, self._replies, end, lines, digest.hexdigest())
 
     def __len__(self) -> int:
         return len(self._replies)
@@ -236,28 +267,108 @@ def load_cache_records(path: str | Path) -> list[CacheRecord]:
     line that is not a record raises CacheReadError naming the file and
     the 1-based line.
     """
-    return [CacheRecord(*fields) for fields in _read_cache_file(Path(path))[0]]
-
-
-def _read_cache_file(path: Path) -> tuple[list[tuple], tuple[int, str] | None]:
-    """The fields of each record, and how to mend a last line that has no
-    newline."""
-    records = []
+    path = Path(path)
     with path.open("rb") as fh:
-        line = b""
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(_decode_record(line.decode("utf-8")))
-            except (ValueError, RecursionError) as exc:  # not UTF-8 or not JSON
-                if line.endswith(b"\n"):
-                    raise CacheReadError(f"{path} line {number}: not JSON: {exc}") from None
-                _log.warning("%s line %d: dropped a torn last line (not JSON, no newline)",
-                             path, number)
-                return records, (fh.tell() - len(line), "")
-            except CacheReadError as exc:
-                raise CacheReadError(f"{path} line {number}: {exc}") from None
-        if line and not line.endswith(b"\n"):
-            return records, (fh.tell(), "\n")
-    return records, None
+        return [CacheRecord(*fields) for fields in _read_cache_file(fh, path)[0]]
+
+
+def _read_cache_file(
+    fh: BinaryIO, path: Path, lines: int = 0, digest=None
+) -> tuple[list[tuple], tuple[int, str] | None, int]:
+    """The fields of each record from fh's position on, how to mend a last
+    line that has no newline, and the number of the last line read.
+
+    `lines` lines come before the position, so errors name absolute lines;
+    digest, if given, is updated with every byte read.
+    """
+    records = []
+    line = b""
+    for lines, line in enumerate(fh, start=lines + 1):
+        if digest is not None:
+            digest.update(line)
+        if not line.strip():
+            continue
+        try:
+            records.append(_decode_record(line.decode("utf-8")))
+        except (ValueError, RecursionError) as exc:  # not UTF-8 or not JSON
+            if line.endswith(b"\n"):
+                raise CacheReadError(f"{path} line {lines}: not JSON: {exc}") from None
+            _log.warning("%s line %d: dropped a torn last line (not JSON, no newline)",
+                         path, lines)
+            return records, (fh.tell() - len(line), ""), lines
+        except CacheReadError as exc:
+            raise CacheReadError(f"{path} line {lines}: {exc}") from None
+    if line and not line.endswith(b"\n"):
+        return records, (fh.tell(), "\n"), lines
+    return records, None, lines
+
+
+def _checkpoint_path(path: Path) -> Path:
+    return path.with_name(path.name + ".index")
+
+
+def _read_checkpoint(path: Path, fh: BinaryIO) -> tuple[dict, int, int, object] | None:
+    """The reply index that path's checkpoint holds, the bytes and lines of
+    the file it covers, and a SHA-256 over those bytes as read from fh.
+
+    None when there is no checkpoint, or it does not hold for the file, or
+    it is not one: what it returns passes the checks the line reader makes
+    (strings, and replies that are valid Unicode), and nothing in it is an
+    error.
+    """
+    try:
+        doc = json.loads(_checkpoint_path(path).read_text(encoding="utf-8"))
+        covers, lines = doc["bytes"], doc["lines"]
+        if (doc["version"] != _CHECKPOINT_VERSION or type(covers) is not int
+                or type(lines) is not int or covers < 0 or lines < 0):
+            return None
+        digest, remaining, chunk = hashlib.sha256(), covers, b"\n"
+        while remaining:
+            chunk = fh.read(min(remaining, _HASH_CHUNK))
+            if not chunk:  # the file is shorter than the checkpoint
+                return None
+            digest.update(chunk)
+            remaining -= len(chunk)
+        if chunk[-1:] != b"\n" or digest.hexdigest() != doc["sha256"]:
+            return None
+        replies = {}
+        for model_id, temperature, prompts, raws in doc["groups"]:
+            "".join([model_id, temperature, *prompts])  # TypeError unless all are str
+            text = "".join(raws)
+            if not text.isascii():
+                text.encode("utf-8")  # UnicodeEncodeError at a lone surrogate
+            identities = zip(repeat(model_id), repeat(temperature), prompts)
+            replies.update(zip(identities, raws, strict=True))
+    except (OSError, ValueError, TypeError, KeyError, RecursionError):
+        return None
+    return replies, covers, lines, digest
+
+
+def _write_checkpoint(
+    path: Path, replies: dict, covers: int, lines: int, sha256: str
+) -> None:
+    """Save the reply index as the checkpoint of path's first `covers`
+    bytes, through a temp file and os.replace. One that cannot be written
+    only leaves the next load slower."""
+    groups: dict[tuple[str, str], tuple[list[str], list[str]]] = {}
+    for (model_id, temperature, prompt), raw in replies.items():
+        group = groups.get((model_id, temperature))
+        if group is None:
+            group = groups[model_id, temperature] = ([], [])
+        group[0].append(prompt)
+        group[1].append(raw)
+    doc = {
+        "version": _CHECKPOINT_VERSION,
+        "bytes": covers,
+        "lines": lines,
+        "sha256": sha256,
+        "groups": [[*request, prompts, raws] for request, (prompts, raws) in groups.items()],
+    }
+    target = _checkpoint_path(path)
+    temp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_text(json.dumps(doc, separators=(",", ":")), encoding="utf-8")
+        os.replace(temp, target)
+    except OSError:
+        with suppress(OSError):
+            temp.unlink(missing_ok=True)

@@ -46,7 +46,8 @@ class Dataset:
     (the distinct surfaces in first-occurrence order), `index` (one id
     into `words` per token) and `gold_words` (the (gold, word id) pair
     counts a run is scored from) are built on first use: only a run pays
-    for them.
+    for them, and `word_counts` (each word's token count) only a run that
+    counts flagged words.
     """
 
     def __init__(
@@ -73,6 +74,12 @@ class Dataset:
     def index(self) -> array:
         ids = dict(zip(self.words, range(len(self.words))))
         return array("I", list(map(ids.__getitem__, self._surfaces)))
+
+    @cached_property
+    def word_counts(self) -> list[int]:
+        """How many tokens each entry of `words` has."""
+        counts = Counter(self._surfaces)
+        return list(map(counts.__getitem__, self.words))
 
     @cached_property
     def gold_words(self) -> dict[Category, dict[int, int]]:

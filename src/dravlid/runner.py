@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 from operator import attrgetter
 from pathlib import Path
 from typing import BinaryIO, Sequence
@@ -107,7 +108,6 @@ def run_experiment(
     distinct = resolve_predictions(ds.words, replies, hits, config.task, failure_policy)
     finished_at = utc_now_rfc3339()
 
-    index = ds.index
     manifest = RunManifest(
         config=config,
         corpus_path=ds.source_path,
@@ -115,19 +115,19 @@ def run_experiment(
         failure_policy=failure_policy,
         started_at=started_at,
         finished_at=finished_at,
-        unparseable_count=_tokens_flagged(list(map(_unparseable, distinct.rows)), index),
+        unparseable_count=_tokens_flagged(list(map(_unparseable, distinct.rows)), ds),
         cache_hits=(
             len(ds) - hits.count(False) if isinstance(backend, LiveBackend)
-            else _tokens_flagged(hits, index)
+            else _tokens_flagged(hits, ds)
         ),
         token_count=len(ds),
     )
-    return RunResult(distinct=distinct, index=index, manifest=manifest)
+    return RunResult(distinct=distinct, index=ds.index, manifest=manifest)
 
 
-def _tokens_flagged(flags: list[bool], index: array) -> int:
-    """How many tokens have a word whose flag is set."""
-    return sum(map(flags.__getitem__, index)) if any(flags) else 0
+def _tokens_flagged(flags: list[bool], ds: Dataset) -> int:
+    """How many tokens of ds have a word whose flag is set."""
+    return sum(compress(ds.word_counts, flags)) if any(flags) else 0
 
 
 def evaluate_run(
