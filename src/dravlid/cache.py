@@ -30,7 +30,7 @@ import logging
 import os
 import threading
 from contextlib import suppress
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import repeat
 from operator import itemgetter
@@ -38,6 +38,11 @@ from pathlib import Path
 from typing import BinaryIO
 
 from dravlid.errors import CacheReadError, CacheWriteError
+
+try:
+    import fcntl
+except ImportError:  # not on Windows: mends there take no lock
+    fcntl = None
 
 _log = logging.getLogger(__name__)
 
@@ -92,7 +97,8 @@ class CacheRecord:
     created_at: str
 
     def to_json_line(self) -> str:
-        return json.dumps(asdict(self), ensure_ascii=False, sort_keys=True)
+        # The instance dict holds exactly the fields: asdict's output without its deep copy.
+        return json.dumps(self.__dict__, ensure_ascii=False, sort_keys=True)
 
     @classmethod
     def from_json_line(cls, line: str) -> "CacheRecord":
@@ -175,9 +181,10 @@ class ResponseCache:
         self._path = Path(path) if path is not None else None
         self._lock = threading.Lock()
         self._replies: dict[tuple[str, str, str], str] = {}
-        # Set when the file's last line has no newline: (bytes to keep, text
-        # to write first), so that the first append starts on a fresh line.
-        self._mend: tuple[int, str] | None = None
+        # Set when the file's last line has no newline: (bytes to keep, the
+        # bytes this instance saw after them), so that the first append cuts
+        # a torn line off, or starts on a fresh line after a whole one.
+        self._mend: tuple[int, bytes] | None = None
         if self._path is not None and self._path.exists():
             if cache_bust:
                 self._path.write_text("", encoding="utf-8")
@@ -236,7 +243,7 @@ class ResponseCache:
         """Write data with one append, after mending a last line that has no
         newline; the parent directory is made when the first open finds it
         missing."""
-        flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+        flags = (os.O_WRONLY if self._mend is None else os.O_RDWR) | os.O_APPEND | os.O_CREAT
         try:
             fd = os.open(self._path, flags, 0o666)
         except FileNotFoundError:
@@ -244,19 +251,29 @@ class ResponseCache:
             fd = os.open(self._path, flags, 0o666)
         try:
             if self._mend is not None:
-                keep, lead = self._mend
-                os.ftruncate(fd, keep)
-                data = lead.encode("utf-8") + data
+                data = self._mended(fd, data)
             written = os.write(fd, data)
             if written != len(data):
-                # A full disk. Cut the partial line off on the next append; a
-                # pending mend still holds, since this write began where it cuts.
-                if self._mend is None:
-                    self._mend = (os.lseek(fd, 0, os.SEEK_END) - written, "")
+                # A full disk. Cut the partial line off on the next append.
+                self._mend = (os.lseek(fd, 0, os.SEEK_END) - written, data[:written])
                 raise OSError(f"wrote {written} of {len(data)} bytes")
             self._mend = None
         finally:
-            os.close(fd)
+            os.close(fd)  # and so unlock
+
+    def _mended(self, fd: int, data: bytes) -> bytes:
+        """Lock the file against other mending writers, cut off the bytes
+        this instance saw after `keep` if they are still all the file holds
+        there, and return data led by a newline if the file does not end in
+        one. Another process may have mended the file or appended since."""
+        keep, seen = self._mend
+        if fcntl is not None:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        end = os.lseek(fd, 0, os.SEEK_END)
+        if end - keep == len(seen) and os.pread(fd, len(seen), keep) == seen:
+            os.ftruncate(fd, keep)
+            end = keep
+        return data if end == 0 or os.pread(fd, 1, end - 1) == b"\n" else b"\n" + data
 
 
 def load_cache_records(path: str | Path) -> list[CacheRecord]:
@@ -274,9 +291,10 @@ def load_cache_records(path: str | Path) -> list[CacheRecord]:
 
 def _read_cache_file(
     fh: BinaryIO, path: Path, lines: int = 0, digest=None
-) -> tuple[list[tuple], tuple[int, str] | None, int]:
+) -> tuple[list[tuple], tuple[int, bytes] | None, int]:
     """The fields of each record from fh's position on, how to mend a last
-    line that has no newline, and the number of the last line read.
+    line that has no newline (the bytes to keep and the torn line after
+    them, empty when the line is whole), and the number of the last line read.
 
     `lines` lines come before the position, so errors name absolute lines;
     digest, if given, is updated with every byte read.
@@ -295,11 +313,11 @@ def _read_cache_file(
                 raise CacheReadError(f"{path} line {lines}: not JSON: {exc}") from None
             _log.warning("%s line %d: dropped a torn last line (not JSON, no newline)",
                          path, lines)
-            return records, (fh.tell() - len(line), ""), lines
+            return records, (fh.tell() - len(line), line), lines
         except CacheReadError as exc:
             raise CacheReadError(f"{path} line {lines}: {exc}") from None
     if line and not line.endswith(b"\n"):
-        return records, (fh.tell(), "\n"), lines
+        return records, (fh.tell(), b""), lines
     return records, None, lines
 
 

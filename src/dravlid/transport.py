@@ -7,7 +7,9 @@ falls back to the LI_API_BASE and LI_API_KEY environment variables. The base
 URL may not carry user info, a query or a fragment, and the key must be
 printable ASCII; neither error message shows a secret.
 
-Requests go out on pooled standard-library keep-alive connections. HTTPS
+http.client opens pooled keep-alive connections (TCP, TLS, a proxy's
+CONNECT); each request is then one send of a head built once, and its reply
+is read by _Connection, all within the timeout and MAX_REPLY_BYTES. HTTPS
 verifies against the system trust store (SSL_CERT_FILE and SSL_CERT_DIR
 override it). Redirects are not followed. The proxy comes from the
 environment (http_proxy, https_proxy, all_proxy, no_proxy): only an
@@ -23,6 +25,7 @@ import http.client
 import json
 import math
 import os
+import re
 import select
 import ssl
 import threading
@@ -44,6 +47,13 @@ DEFAULT_RATE_PER_MINUTE = 60.0
 # above threading.TIMEOUT_MAX and time.sleep() one that ends past it on the
 # monotonic clock, so waits stop at half of it (146 years on Linux).
 MAX_WAIT = threading.TIMEOUT_MAX / 2
+
+# A reply, head and body, holds a few tokens: a longer one is a failed
+# attempt. Lines and header lines are limited as in http.client.
+MAX_REPLY_BYTES = 1 << 20
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_STATUS_LINE = re.compile(rb"HTTP/1\.([01])[ \t]+([1-9]\d\d)[ \t\r\n]")
 
 _RETRYABLE_STATUSES = frozenset({429}) | frozenset(range(500, 600))
 
@@ -193,14 +203,19 @@ class ChatTransport:
             if present:
                 raise ValueError(f"base URL {shown} must not hold {part}")
         self._open_connection, self._target, proxy_headers = _route(
-            parts, parts.path.rstrip("/") + "/v1/chat/completions", timeout
+            parts, parts.path.rstrip("/") + "/v1/chat/completions"
         )
-        self._headers = {
-            "Authorization": f"Bearer {api_key}",
-            "Content-Type": "application/json",
-            **proxy_headers,
-        }
-        self._idle: list[http.client.HTTPConnection] = []
+        # The head http.client sends, in two parts around the Content-Length.
+        self._head = (f"POST {self._target} HTTP/1.1\r\nHost: ".encode("ascii")
+                      + _host_header(parts, self._target)
+                      + b"\r\nAccept-Encoding: identity\r\nContent-Length: ")
+        headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json",
+                   **proxy_headers}
+        self._head_end = "".join(
+            f"\r\n{name}: {value}" for name, value in headers.items()
+        ).encode("latin-1") + b"\r\n\r\n"
+        self._timeout = timeout
+        self._idle: list[_Connection] = []
         self._idle_lock = threading.Lock()
         self.retry = retry if retry is not None else RetryPolicy()
         self._rate_limiter = rate_limiter
@@ -222,35 +237,38 @@ class ChatTransport:
         for conn in idle:
             conn.close()
 
-    def _post(self, body: bytes) -> tuple[int, bytes]:
-        """Send one POST on an idle connection, or a new one; return the
-        status and the whole body. A connection goes back to the idle stack
-        only after its response was read; one whose request raised is closed.
+    def _post(self, message: bytes) -> tuple[int, bytes]:
+        """Send one request on an idle connection, or a new one, and return
+        the reply's status and whole body, all within the timeout. A
+        connection goes back to the idle stack only when its reply left it
+        fit for another; one whose exchange raised is closed.
 
         A pooled connection the server has closed is dropped before use; if
-        the server closes it as the request goes out, the request is sent
+        the server closes it before the reply starts, the request is sent
         once more on a new connection, as the same attempt."""
+        deadline = time.monotonic() + self._timeout
         conn = self._take_idle()
-        resp = None
         if conn is not None:
             try:
-                resp = self._send(conn, body)
+                return self._exchange(conn, message, deadline)
             except _DROPPED:
                 pass
-        if resp is None:
-            conn = self._open_connection()
-            resp = self._send(conn, body)
+        return self._exchange(_Connection(self._open_connection(), deadline), message, deadline)
+
+    def _exchange(self, conn: "_Connection", message: bytes, deadline: float) -> tuple[int, bytes]:
         try:
-            data = resp.read()
+            status, data, reusable = conn.exchange(message, deadline)
         except BaseException:
             conn.close()
             raise
-        if conn.sock is not None:  # None once the server said it will close
+        if reusable:
             with self._idle_lock:
                 self._idle.append(conn)
-        return resp.status, data
+        else:
+            conn.close()
+        return status, data
 
-    def _take_idle(self) -> http.client.HTTPConnection | None:
+    def _take_idle(self) -> "_Connection | None":
         """Pop the most recently used idle connection that is still open."""
         while True:
             with self._idle_lock:
@@ -263,19 +281,10 @@ class ChatTransport:
                 return conn
             conn.close()
 
-    def _send(
-        self, conn: http.client.HTTPConnection, body: bytes
-    ) -> http.client.HTTPResponse:
-        try:
-            conn.request("POST", self._target, body, self._headers)
-            return conn.getresponse()
-        except BaseException:
-            conn.close()
-            raise
-
     def complete(self, req: ChatRequest) -> str:
         """POST the request; return the first choice's message text verbatim."""
         body = json.dumps(req.to_wire()).encode("utf-8")
+        message = b"".join((self._head, b"%d" % len(body), self._head_end, body))
         last_status: int | None = None
         last_detail = ""
         for attempt in range(1, self.retry.max_attempts + 1):
@@ -284,7 +293,7 @@ class ChatTransport:
             with self._count_lock:
                 self.requests_sent += 1
             try:
-                status, data = self._post(body)
+                status, data = self._post(message)
             except (OSError, http.client.HTTPException) as exc:
                 last_status = None
                 last_detail = str(exc)
@@ -310,7 +319,7 @@ class ChatTransport:
 
 
 def _route(
-    parts: urllib.parse.SplitResult, path: str, timeout: float
+    parts: urllib.parse.SplitResult, path: str
 ) -> tuple[Callable[[], http.client.HTTPConnection], str, dict]:
     """A factory for connections to the endpoint, the request target for
     path, and headers each request adds: direct, or through the
@@ -325,17 +334,17 @@ def _route(
     else:
         address, proxy_headers = proxy
     if not https:
-        # A proxy takes the absolute form, and http.client sends Host from it.
+        # A proxy takes the absolute form, and Host comes from it.
         target = f"http://{parts.netloc}{path}" if proxy else path
         return (
-            lambda: http.client.HTTPConnection(*address, timeout=timeout),
+            lambda: http.client.HTTPConnection(*address),
             target,
             proxy_headers,
         )
     context = ssl.create_default_context()
 
     def connect() -> http.client.HTTPConnection:
-        conn = http.client.HTTPSConnection(*address, timeout=timeout, context=context)
+        conn = http.client.HTTPSConnection(*address, context=context)
         if proxy:
             conn.set_tunnel(host, port, headers=proxy_headers)
         return conn
@@ -380,6 +389,146 @@ def _proxy_credentials(parts: urllib.parse.SplitResult) -> dict:
     password = urllib.parse.unquote(parts.password or "")
     token = base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
     return {"Proxy-Authorization": f"Basic {token}"}
+
+
+def _host_header(parts: urllib.parse.SplitResult, target: str) -> bytes:
+    """The Host header http.client sends with target: a proxy's absolute
+    form gives its netloc, else the host (in brackets for IPv6, without a
+    zone) and a port other than the scheme's. IDNA leaves ASCII as it is."""
+    host = parts.netloc
+    if not target.startswith("http"):
+        host = f"[{parts.hostname.partition('%')[0]}]" if ":" in parts.hostname else parts.hostname
+        if parts.port not in (None, 443 if parts.scheme == "https" else 80):
+            host += f":{parts.port}"
+    return host.encode("idna")
+
+
+def _time_left(deadline: float) -> float:
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    return left
+
+
+class _Connection:
+    """A connection http.client opened, and the buffer that recv_into reads
+    each reply into, every wait bounded by the attempt's deadline.
+
+    Chunks frame a body, and win over Content-Length; else Content-Length
+    does, else the end of the connection. 1xx replies are skipped; 204 and
+    304 have no body. Only an HTTP/1.1 reply framed by its length, without
+    Connection: close and with no byte left over, leaves the connection fit
+    for another. Faults raise OSError or http.client.HTTPException."""
+
+    def __init__(self, conn: http.client.HTTPConnection, deadline: float):
+        try:
+            conn.timeout = _time_left(deadline)
+            conn.connect()
+        except BaseException:
+            conn.close()
+            raise
+        self.conn, self.sock = conn, conn.sock
+        self._buf = bytearray(1 << 14)
+
+    def close(self) -> None:
+        self.conn.close()
+
+    def exchange(self, message: bytes, deadline: float) -> tuple[int, bytes, bool]:
+        """Send message; return its reply's status and body, and whether the
+        connection can carry another exchange."""
+        self._pos = self._end = 0
+        self._deadline = deadline
+        self.sock.settimeout(_time_left(deadline))
+        self.sock.sendall(message)
+        while (head := self._head())[0] < 200:  # an interim reply
+            pass
+        status, length, chunked, reusable = head
+        if status in (204, 304):
+            body = b""
+        elif chunked:
+            body, reusable = self._chunked(), reusable and length is None
+        else:
+            body, reusable = self._take(length), reusable and length is not None
+        return status, body, reusable and self._pos == self._end
+
+    def _head(self) -> tuple[int, int | None, bool, bool]:
+        """Read a status line and its headers: the status, Content-Length,
+        whether chunks frame the body and whether the connection stays open."""
+        line = self._line()
+        if not (status := _STATUS_LINE.match(line)):
+            raise http.client.BadStatusLine(f"bad status line: {line[:100]!r}")
+        reusable, chunked, lengths = status[1] == b"1", False, set()
+        for _ in range(_MAX_HEADERS + 1):
+            name, _, value = self._line().lower().partition(b":")
+            if name in (b"\r\n", b"\n"):
+                break
+            value = value.strip()
+            if name == b"content-length":
+                lengths.add(value)
+            elif name == b"transfer-encoding":
+                chunked = value == b"chunked"
+            elif name == b"connection":
+                reusable = reusable and b"close" not in value
+        else:
+            raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+        if len(lengths) > 1 or not all(n.isdigit() and len(n) < 20 for n in lengths):
+            shown = b",".join(sorted(lengths))[:40]
+            raise http.client.HTTPException(f"bad Content-Length: {shown!r}")
+        length = int(lengths.pop()) if lengths else None
+        return int(status[2]), length, chunked, reusable
+
+    def _chunked(self) -> bytes:
+        """A chunked body, without its chunk extensions and trailer fields."""
+        chunks = []
+        while True:
+            size = self._line().partition(b";")[0].strip()
+            if not size or size.strip(b"0123456789abcdefABCDEF"):
+                raise http.client.HTTPException(f"bad chunk size: {size[:20]!r}")
+            if not int(size, 16):
+                break
+            chunks.append(self._take(int(size, 16)))
+            if self._line().strip():
+                raise http.client.HTTPException("chunk data not followed by CRLF")
+        while self._line() not in (b"\r\n", b"\n"):  # the trailer
+            pass
+        return b"".join(chunks)
+
+    def _line(self) -> bytes:
+        """The next line, its line ending included."""
+        pos = scanned = self._pos
+        while ((end := self._buf.find(b"\n", scanned, self._end)) < 0
+               and self._end - pos < _MAX_LINE):
+            scanned = self._end
+            self._fill()
+        if not 0 <= end - pos < _MAX_LINE:
+            raise http.client.LineTooLong("line")
+        self._pos = end + 1
+        return bytes(self._buf[pos:end + 1])
+
+    def _take(self, length: int | None) -> bytes:
+        """The next length bytes, or, if length is None, all up to the end."""
+        while length is None or self._end - self._pos < length:
+            if not self._fill(at_eof=length is None):
+                length = self._end - self._pos
+        self._pos += length
+        return bytes(self._buf[self._pos - length:self._pos])
+
+    def _fill(self, at_eof: bool = False) -> int:
+        """Receive more of the reply; 0 at the end of the connection, which
+        is an error unless at_eof."""
+        if self._end == len(self._buf):
+            if self._end >= MAX_REPLY_BYTES:
+                raise http.client.HTTPException(f"reply longer than {MAX_REPLY_BYTES} bytes")
+            self._buf.extend(bytes(self._end))
+        self.sock.settimeout(_time_left(self._deadline))
+        received = self.sock.recv_into(memoryview(self._buf)[self._end:])
+        if not (received or at_eof):
+            if not self._end:
+                raise http.client.RemoteDisconnected(
+                    "Remote end closed connection without response")
+            raise http.client.IncompleteRead(bytes(self._buf[self._pos:self._end]))
+        self._end += received
+        return received
 
 
 def _extract_content(body: bytes) -> str:

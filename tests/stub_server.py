@@ -13,6 +13,10 @@ keep-alive server does when its idle timeout strikes between requests. With
 drop_reused instead, it reads each later request on a connection and closes
 it without a reply (counted in `dropped`), as such a server does when the
 timeout strikes while a request is on its way.
+
+With stream="drip" every reply is a 200 whose body goes out one byte every
+DRIP_SECONDS; with stream="endless" it is a 200 with no length whose body
+never ends. Either stops when the client hangs up.
 """
 
 from __future__ import annotations
@@ -20,8 +24,12 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
+
+
+DRIP_SECONDS = 0.1
 
 
 def content_reply(text: str) -> dict:
@@ -35,6 +43,7 @@ class StubChatServer:
         keep_alive: bool = False,
         hang_up: bool = False,
         drop_reused: bool = False,
+        stream: str | None = None,
     ):
         self._default_content = default_content or (lambda body: "en")
         self._script: list[tuple[int, object]] = []
@@ -79,6 +88,9 @@ class StubChatServer:
                     self.close_connection = True
                     return
                 self.served += 1
+                if stream is not None:
+                    self.stream_reply(stream)
+                    return
                 with outer._lock:
                     outer.requests.append(body)
                     outer.paths.append(self.path)
@@ -101,6 +113,24 @@ class StubChatServer:
                 self.wfile.write(raw)
                 if hang_up:
                     self.close_connection = True
+
+            def stream_reply(self, kind):
+                raw = json.dumps(content_reply("en")).encode("utf-8")
+                self.close_connection = True
+                self.send_response(200)
+                if kind == "drip":
+                    self.send_header("Content-Length", str(len(raw)))
+                self.end_headers()
+                try:
+                    if kind == "drip":
+                        for byte in raw:
+                            self.wfile.write(bytes([byte]))
+                            time.sleep(DRIP_SECONDS)
+                    else:
+                        while True:
+                            self.wfile.write(b" " * 65536)
+                except OSError:  # the client hung up
+                    pass
 
             def log_message(self, *args):
                 pass

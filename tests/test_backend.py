@@ -462,7 +462,7 @@ class TestProxies:
         token = base64.b64encode(b"user:secret").decode()
         assert conn._tunnel_headers == {"Proxy-Authorization": f"Basic {token}"}
         # The endpoint behind the tunnel never sees the proxy's credentials.
-        assert "Proxy-Authorization" not in transport._headers
+        assert b"Proxy-Authorization" not in transport._head + transport._head_end
 
     def test_https_endpoint_without_proxy_connects_directly(self):
         transport = ChatTransport(base_url="https://api.example.test:8443", api_key="k")

@@ -3,7 +3,11 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -56,6 +60,14 @@ class TestRecordFormat:
         rec = record(response="ответ: en")
         again = CacheRecord.from_json_line(rec.to_json_line())
         assert again == rec
+
+    @pytest.mark.parametrize(
+        "text", ["ಕನ್ನಡ ответ", 'say "en"', "a\\b", "\x00\x1f\t\n\r\x7f", "\u2028\u2029"])
+    @pytest.mark.parametrize("temp", [-0.0, 1, 1e300, 0.7])
+    def test_json_line_is_the_dataclass_dict_as_json(self, text, temp):
+        rec = make_record(text, temp, text, text, text)
+        expected = json.dumps(asdict(rec), ensure_ascii=False, sort_keys=True)
+        assert rec.to_json_line() == expected
 
     def test_created_at_is_utc_rfc3339(self):
         assert re.fullmatch(
@@ -395,3 +407,66 @@ class TestTornTail:
         path.write_bytes(torn)
         assert len(ResponseCache(path)) == 2
         assert path.read_bytes() == torn
+
+
+# A child process that loads the cache, says so, waits for the go line on
+# stdin, then appends `count` records of its own.
+APPENDER = """
+import sys
+from dravlid.cache import ResponseCache, make_record
+path, name, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
+cache = ResponseCache(path)
+print("loaded", flush=True)
+sys.stdin.readline()
+for i in range(count):
+    cache.put_if_absent(make_record("m", 0.7, f"The word is {name}{i}.", "en"))
+"""
+
+
+class TestSharedFile:
+    """Writers that loaded the same file, each with its own idea of the tail."""
+
+    @pytest.mark.parametrize("cut", [10, 1], ids=["torn", "unterminated"])
+    def test_two_instances_over_one_tail_keep_every_record(self, tmp_path, cut):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(TORN_FILE[:-cut])
+        first, second = ResponseCache(path), ResponseCache(path)
+        a1, a2, b1 = (record(prompt=f"The word is {w}.") for w in ("a1", "a2", "b1"))
+        first.put_if_absent(a1)
+        first.put_if_absent(a2)
+        second.put_if_absent(b1)
+        kept = TORN_RECORDS[:2] if cut == 10 else TORN_RECORDS
+        assert load_cache_records(path) == [*kept, a1, a2, b1]
+        assert b"\n\n" not in path.read_bytes()
+
+    def test_processes_appending_to_one_torn_cache_lose_nothing(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(TORN_FILE[:-10])
+        env = {**os.environ, "PYTHONPATH": str(Path(dravlid.cache.__file__).parents[1])}
+        names, count = ("p", "q", "r"), 30
+        children = [
+            subprocess.Popen([sys.executable, "-c", APPENDER, str(path), name, str(count)],
+                             stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
+            for name in names
+        ]
+        try:
+            for child in children:
+                assert child.stdout.readline() == b"loaded\n"
+            for child in children:  # every child saw the torn tail; now all append
+                child.stdin.write(b"go\n")
+                child.stdin.close()
+            for child in children:
+                assert child.wait(timeout=30) == 0
+        finally:
+            for child in children:
+                child.kill()
+                child.wait()
+                child.stdout.close()
+        prompts = {rec.prompt for rec in load_cache_records(path)}
+        assert prompts == {r.prompt for r in TORN_RECORDS[:2]} | {
+            f"The word is {name}{i}." for name in names for i in range(count)}
+        monkeypatch.setattr(dravlid.cache, "CHECKPOINT_MIN_BYTES", 1)
+        full = ResponseCache(path)._replies  # a full parse, which writes a checkpoint
+        assert path.with_name(path.name + ".index").exists()
+        assert ResponseCache(path)._replies == full
+        assert len(full) == len(prompts)

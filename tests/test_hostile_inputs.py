@@ -10,6 +10,7 @@ traceback.
 """
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from dravlid.fixtures import replay_fixture_path, smoke_corpus_path
 from dravlid.metrics import REPORT_ROWS
 from dravlid.prompting import DEFAULT_MODEL_ID, render_prompt
 from dravlid.taxonomy import TaskLanguage
+from dravlid.transport import MAX_REPLY_BYTES
 
 from stub_server import StubChatServer, content_reply
 
@@ -167,6 +169,34 @@ class TestReplyBodies:
             code = live_classify(corpus, cache, server, "--max-workers", workers)
         assert code == 3
         one_error_line(capsys, f"dravlid: transport error: {reason}")
+        assert not cache.exists() or cache.read_bytes() == b""
+
+
+class TestReplyLimits:
+    """--timeout bounds each whole attempt, and a reply holds at most
+    MAX_REPLY_BYTES: a server that drips a reply or never ends one costs
+    each attempt no more than the timeout."""
+
+    @pytest.mark.parametrize(
+        "stream, reason",
+        [("drip", "timed out"), ("endless", f"reply longer than {MAX_REPLY_BYTES} bytes")])
+    def test_is_a_failed_attempt_and_exit_3_within_the_bound(
+        self, tmp_path, capsys, stream, reason
+    ):
+        corpus = write(tmp_path / "c.tsv", "hello\ten\n")
+        cache = tmp_path / "cache.jsonl"
+        with StubChatServer(stream=stream) as server:
+            started = time.monotonic()
+            code = live_classify(corpus, cache, server, "--timeout", "0.5",
+                                 "--max-attempts", "2")
+            elapsed = time.monotonic() - started
+            assert server.connections == 2
+        assert code == 3
+        # Two attempts of at most 0.5 s each; the drip alone takes 4.7 s to
+        # send one reply's 47 bytes.
+        assert elapsed < 2.5
+        one_error_line(capsys, "dravlid: transport error: chat endpoint failed after 2 "
+                               f"attempts (no response): {reason}")
         assert not cache.exists() or cache.read_bytes() == b""
 
 
