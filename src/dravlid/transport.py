@@ -255,7 +255,7 @@ class ChatTransport:
                 pass
         return self._exchange(_Connection(self._open_connection(), deadline), message, deadline)
 
-    def _exchange(self, conn: "_Connection", message: bytes, deadline: float) -> tuple[int, bytes]:
+    def _exchange(self, conn: _Connection, message: bytes, deadline: float) -> tuple[int, bytes]:
         try:
             status, data, reusable = conn.exchange(message, deadline)
         except BaseException:
@@ -268,7 +268,7 @@ class ChatTransport:
             conn.close()
         return status, data
 
-    def _take_idle(self) -> "_Connection | None":
+    def _take_idle(self) -> _Connection | None:
         """Pop the most recently used idle connection that is still open."""
         while True:
             with self._idle_lock:
