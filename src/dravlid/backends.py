@@ -6,22 +6,24 @@ the cache held it. Words are deduplicated before they get here, by
 corpus.Dataset. LiveBackend looks each word up in the response cache and
 sends only the misses to its miss handler, which asks the chat endpoint
 and persists the reply; it refuses a repeated word, which would cost a
-second request. ReplayBackend is that same path over a read-only record
-set: a miss is a FixtureMissError, never a request.
+second request. ReplayBackend(cache) is that same path with no transport:
+it reads the cache file through the same index as a live rerun, so the
+first record for a request wins and a checkpoint is used (and may be
+written, as PATH.index), and a miss is a FixtureMissError, never a request
+and never an append.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from dravlid.baseline import LexiconSet, classify_baseline, default_lexicons
 from dravlid.cache import (
     CacheRecord,
     ResponseCache,
     cache_key,
-    load_cache_records,
     temperature_text,
     utc_now_rfc3339,
 )
@@ -119,21 +121,19 @@ class LiveBackend:
 
 
 class ReplayBackend(LiveBackend):
-    """LiveBackend over a fixed in-memory record set; misses are errors."""
+    """LiveBackend over a response cache, with no transport; misses are errors."""
 
     kind = "replay"
 
-    def __init__(self, records: Iterable[CacheRecord]):
-        super().__init__(ResponseCache(None), transport=None, max_workers=1)
-        for record in records:
-            if not self.cache.put_if_absent(record)[1]:
-                raise ValueError(
-                    f"duplicate cache key in replay fixture: {record.cache_key}"
-                )
+    def __init__(self, cache: ResponseCache):
+        super().__init__(cache, transport=None, max_workers=1)
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ReplayBackend":
-        return cls(load_cache_records(path))
+        """Replay the cache file at path, which must exist: a ResponseCache
+        would take a missing file for an empty one."""
+        Path(path).stat()  # FileNotFoundError naming path
+        return cls(ResponseCache(path))
 
     def _miss(self, word: str, prompt: str, config: ExperimentConfig) -> tuple[str, bool]:
         raise FixtureMissError(

@@ -100,12 +100,6 @@ class CacheRecord:
         # The instance dict holds exactly the fields: asdict's output without its deep copy.
         return json.dumps(self.__dict__, ensure_ascii=False, sort_keys=True)
 
-    @classmethod
-    def from_json_line(cls, line: str) -> "CacheRecord":
-        """Parse one line: ValueError or RecursionError if it is not JSON,
-        CacheReadError (naming no file) if it is JSON but not a record."""
-        return cls(*_decode_record(line))
-
 
 def _decode_record(line: str) -> tuple:
     """The six fields of one cache line, in CacheRecord's order.
@@ -276,34 +270,23 @@ class ResponseCache:
         return data if end == 0 or os.pread(fd, 1, end - 1) == b"\n" else b"\n" + data
 
 
-def load_cache_records(path: str | Path) -> list[CacheRecord]:
-    """Read all records from a JSONL cache file, in file order.
-
-    A last line without its newline that is not JSON is what a crash in
-    the middle of an append leaves: it is dropped with a warning. Any other
-    line that is not a record raises CacheReadError naming the file and
-    the 1-based line.
-    """
-    path = Path(path)
-    with path.open("rb") as fh:
-        return [CacheRecord(*fields) for fields in _read_cache_file(fh, path)[0]]
-
-
 def _read_cache_file(
-    fh: BinaryIO, path: Path, lines: int = 0, digest=None
+    fh: BinaryIO, path: Path, lines: int, digest
 ) -> tuple[list[tuple], tuple[int, bytes] | None, int]:
     """The fields of each record from fh's position on, how to mend a last
     line that has no newline (the bytes to keep and the torn line after
     them, empty when the line is whole), and the number of the last line read.
 
-    `lines` lines come before the position, so errors name absolute lines;
-    digest, if given, is updated with every byte read.
+    A last line without its newline that is not JSON is what a crash in
+    the middle of an append leaves: it is dropped with a warning. Any other
+    line that is not a record raises CacheReadError naming the file and
+    the 1-based line: `lines` lines come before the position, so errors
+    name absolute lines. digest is updated with every byte read.
     """
     records = []
     line = b""
     for lines, line in enumerate(fh, start=lines + 1):
-        if digest is not None:
-            digest.update(line)
+        digest.update(line)
         if not line.strip():
             continue
         try:

@@ -1,11 +1,11 @@
 """Experiment orchestration: run a backend over a corpus, evaluate, record.
 
 A run predicts once per distinct word and puts the predictions in token order
-through the dataset's index, plus a manifest (timings, cache hits,
-unparseable count) that makes reruns auditable. A run is held as columns over
-the distinct words, never as an object per word: it is written from one
-encoded line per distinct word and scored from the dataset's (gold, word)
-pair counts.
+through the dataset's index, plus a manifest (start and finish times, cache
+hits, unparseable count) that makes reruns auditable. A run is held as
+columns over the distinct words, never as an object per word: it is written
+from one encoded line per distinct word and scored from the dataset's (gold,
+word) pair counts.
 """
 
 from __future__ import annotations

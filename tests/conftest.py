@@ -7,11 +7,16 @@ instead of a hang or a real request.
 
 from __future__ import annotations
 
+import json
 import socket
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+from dravlid.backends import ReplayBackend
+from dravlid.cache import CacheRecord, ResponseCache
 
 SUITE_BUDGET_SECONDS = 60.0
 _SUITE_STARTED = time.monotonic()
@@ -77,6 +82,22 @@ def token_rows(ds) -> list[tuple]:
         )
         start = end
     return rows
+
+
+def read_cache_records(path) -> list[CacheRecord]:
+    """Every record of a cache file of whole lines, in file order, read
+    without dravlid's own line reader."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    return [CacheRecord(**json.loads(line)) for line in lines if line.strip()]
+
+
+def replay_of(records) -> ReplayBackend:
+    """A ReplayBackend over an in-memory cache of records; the first record
+    for a request wins."""
+    cache = ResponseCache(None)
+    for record in records:
+        cache.put_if_absent(record)
+    return ReplayBackend(cache)
 
 
 def pytest_sessionfinish(session, exitstatus):

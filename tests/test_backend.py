@@ -788,10 +788,20 @@ class TestReplayBackend:
             expected = replay.classify_words(words, config)
             assert live.classify_words(words, config) == expected
 
-    def test_duplicate_fixture_keys_rejected(self):
-        rec = make_record("m", 0.7, "The word is x.", "en")
-        with pytest.raises(ValueError, match="duplicate"):
-            ReplayBackend([rec, rec])
+    def test_repeated_request_answers_with_the_first_record(self, tmp_path):
+        # What two processes that missed the same request leave behind.
+        prompt = render_prompt("hello", KN)
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            "".join(make_record("gpt-3.5-turbo", 0.7, prompt, reply).to_json_line() + "\n"
+                    for reply in ("en", "kn")),
+            encoding="utf-8",
+        )
+        config = ExperimentConfig(task=KN, temperature=0.7)
+        replay = ReplayBackend.from_jsonl(path).classify_words(["hello"], config)
+        assert replay == (["en"], [True])
+        live = LiveBackend(ResponseCache(path), transport=object())
+        assert live.classify_words(["hello"], config) == replay
 
 
 class TestBaselineBackend:
@@ -811,5 +821,5 @@ class TestBaselineBackend:
 
     def test_kind_labels(self):
         assert LiveBackend(ResponseCache(None), object()).kind == "live"
-        assert ReplayBackend([]).kind == "replay"
+        assert ReplayBackend(ResponseCache(None)).kind == "replay"
         assert BaselineBackend().kind == "baseline"

@@ -18,12 +18,13 @@ from dravlid.cache import (
     CacheRecord,
     ResponseCache,
     cache_key,
-    load_cache_records,
     make_record,
     request_identity,
     utc_now_rfc3339,
 )
 from dravlid.errors import CacheReadError, CacheWriteError
+
+from conftest import read_cache_records
 
 
 def record(prompt="The word is x.", response="en", temp=0.7) -> CacheRecord:
@@ -34,6 +35,14 @@ def record(prompt="The word is x.", response="en", temp=0.7) -> CacheRecord:
 
 def identity(rec: CacheRecord) -> tuple[str, str, str]:
     return request_identity(rec.model_id, rec.temperature, rec.prompt)
+
+
+def replies_of(records: list[CacheRecord]) -> dict[tuple[str, str, str], str]:
+    """The reply index a load of these records builds: the first record wins."""
+    replies = {}
+    for rec in records:
+        replies.setdefault(identity(rec), rec.raw_response)
+    return replies
 
 
 class TestCacheKey:
@@ -58,7 +67,7 @@ class TestCacheKey:
 class TestRecordFormat:
     def test_json_line_round_trip(self):
         rec = record(response="ответ: en")
-        again = CacheRecord.from_json_line(rec.to_json_line())
+        again = CacheRecord(**json.loads(rec.to_json_line()))
         assert again == rec
 
     @pytest.mark.parametrize(
@@ -133,7 +142,7 @@ class TestResponseCache:
         assert inserted
         assert stored == rec.raw_response
         assert cache.get(*identity(rec)) == rec.raw_response
-        assert load_cache_records(tmp_path / "c.jsonl") == [rec]
+        assert read_cache_records(tmp_path / "c.jsonl") == [rec]
 
     def test_first_record_wins(self, tmp_path):
         cache = ResponseCache(tmp_path / "c.jsonl")
@@ -157,7 +166,7 @@ class TestResponseCache:
         ResponseCache(path).put_if_absent(rec)
         reloaded = ResponseCache(path)
         assert reloaded.get(*identity(rec)) == rec.raw_response
-        assert load_cache_records(path) == [rec]
+        assert read_cache_records(path) == [rec]
 
     def test_at_most_once_on_disk(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -217,7 +226,7 @@ class TestResponseCache:
         first, second = record(), record(prompt="The word is y.")
         cache.put_if_absent(first)
         cache.put_if_absent(second)
-        assert load_cache_records(path) == [first, second]
+        assert read_cache_records(path) == [first, second]
 
     def test_unwritable_path_raises_cache_write_error(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -259,19 +268,21 @@ class TestResponseCache:
 
 
 class TestLoadCacheRecords:
+    """A cache file's lines as ResponseCache reads them into its index."""
+
     def test_loads_in_file_order(self, tmp_path):
         path = tmp_path / "c.jsonl"
         recs = [record(prompt=f"The word is w{i}.") for i in range(3)]
         path.write_text(
             "".join(r.to_json_line() + "\n" for r in recs), encoding="utf-8"
         )
-        assert load_cache_records(path) == recs
+        assert list(ResponseCache(path)._replies.items()) == list(replies_of(recs).items())
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "c.jsonl"
         rec = record()
         path.write_text("\n" + rec.to_json_line() + "\n\n", encoding="utf-8")
-        assert load_cache_records(path) == [rec]
+        assert ResponseCache(path)._replies == replies_of([rec])
 
     @pytest.mark.parametrize(
         "line, reason",
@@ -297,14 +308,14 @@ class TestLoadCacheRecords:
             record().to_json_line() + "\n" + line + "\n", encoding="utf-8"
         )
         with pytest.raises(CacheReadError) as excinfo:
-            load_cache_records(path)
+            ResponseCache(path)
         assert str(excinfo.value).startswith(f"{path} line 2: {reason}")
 
     def test_line_led_by_whitespace_loads(self, tmp_path):
         path = tmp_path / "c.jsonl"
         rec = record()
         path.write_text(" \t" + rec.to_json_line() + "\n", encoding="utf-8")
-        assert load_cache_records(path) == [rec]
+        assert ResponseCache(path)._replies == replies_of([rec])
 
     @pytest.mark.parametrize(
         "line, reason",
@@ -317,7 +328,7 @@ class TestLoadCacheRecords:
         path.write_text(line + "\n" + record(prompt="y").to_json_line() + "\n",
                         encoding="utf-8")
         with pytest.raises(CacheReadError) as excinfo:
-            load_cache_records(path)
+            ResponseCache(path)
         assert str(excinfo.value).startswith(f"{path} line 1: {reason}")
 
     def test_bad_last_line_without_newline_is_still_an_error(self, tmp_path):
@@ -325,7 +336,7 @@ class TestLoadCacheRecords:
         path = tmp_path / "c.jsonl"
         path.write_text(record().to_json_line() + "\n[1, 2]", encoding="utf-8")
         with pytest.raises(CacheReadError, match="line 2: not a JSON object"):
-            load_cache_records(path)
+            ResponseCache(path)
 
     def test_torn_last_line_dropped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "c.jsonl"
@@ -334,7 +345,7 @@ class TestLoadCacheRecords:
             rec.to_json_line() + "\n" + record(prompt="y").to_json_line()[:40],
             encoding="utf-8",
         )
-        assert load_cache_records(path) == [rec]
+        assert ResponseCache(path)._replies == replies_of([rec])
         assert [r.getMessage() for r in caplog.records] == [
             f"{path} line 2: dropped a torn last line (not JSON, no newline)"
         ]
@@ -362,11 +373,11 @@ class TestTornTail:
         ends = [sum(len(line) + 1 for line in TORN_LINES[:i]) + len(TORN_LINES[i])
                 for i in range(len(TORN_LINES))]
         complete = [r for r, end in zip(TORN_RECORDS, ends) if end <= cut]
-        assert load_cache_records(path) == complete
+        assert ResponseCache(path)._replies == replies_of(complete)
 
         extra = record(prompt="The word is new.")
         ResponseCache(path).put_if_absent(extra)
-        assert load_cache_records(path) == complete + [extra]
+        assert read_cache_records(path) == complete + [extra]
         assert path.read_bytes().endswith(b"\n")
 
     def test_short_write_fails_and_the_next_append_cuts_it_off(
@@ -399,7 +410,7 @@ class TestTornTail:
         assert path.read_bytes() == lost.to_json_line().encode()[:7]
         extra = record(prompt="The word is new.")
         cache.put_if_absent(extra)
-        assert load_cache_records(path) == [extra]
+        assert read_cache_records(path) == [extra]
 
     def test_read_only_load_leaves_the_file_alone(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -436,7 +447,7 @@ class TestSharedFile:
         first.put_if_absent(a2)
         second.put_if_absent(b1)
         kept = TORN_RECORDS[:2] if cut == 10 else TORN_RECORDS
-        assert load_cache_records(path) == [*kept, a1, a2, b1]
+        assert read_cache_records(path) == [*kept, a1, a2, b1]
         assert b"\n\n" not in path.read_bytes()
 
     def test_processes_appending_to_one_torn_cache_lose_nothing(self, tmp_path, monkeypatch):
@@ -462,7 +473,7 @@ class TestSharedFile:
                 child.kill()
                 child.wait()
                 child.stdout.close()
-        prompts = {rec.prompt for rec in load_cache_records(path)}
+        prompts = {rec.prompt for rec in read_cache_records(path)}
         assert prompts == {r.prompt for r in TORN_RECORDS[:2]} | {
             f"The word is {name}{i}." for name in names for i in range(count)}
         monkeypatch.setattr(dravlid.cache, "CHECKPOINT_MIN_BYTES", 1)

@@ -16,7 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dravlid.cache
-from dravlid.cache import CHECKPOINT_MIN_BYTES, ResponseCache, load_cache_records, make_record
+from dravlid.backends import ReplayBackend
+from dravlid.cache import CHECKPOINT_MIN_BYTES, ResponseCache, make_record
 from dravlid.cli import main
 from dravlid.errors import CacheReadError
 from dravlid.prompting import DEFAULT_MODEL_ID, render_prompt
@@ -39,13 +40,15 @@ def records(count: int, start: int = 0) -> str:
 
 
 def full_parse(path) -> dict:
-    """The index a load without a checkpoint builds: the first record wins."""
-    replies = {}
-    for rec in load_cache_records(path):
-        replies.setdefault(
-            dravlid.cache.request_identity(rec.model_id, rec.temperature, rec.prompt),
-            rec.raw_response)
-    return replies
+    """The index a load without a checkpoint builds: that of a copy of the
+    file with no checkpoint beside it."""
+    copy = path.with_name(path.name + ".copy")
+    copy.write_bytes(path.read_bytes())
+    try:
+        return ResponseCache(copy)._replies
+    finally:
+        copy.unlink()
+        index_of(copy).unlink(missing_ok=True)
 
 
 @pytest.fixture
@@ -199,6 +202,42 @@ class TestPrefixEdits:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"dravlid: data error: {path} line {number}: "), err
+        assert "Traceback" not in err
+
+
+class TestReplay:
+    """Replay reads through the same index, checkpoint included."""
+
+    def test_load_after_a_checkpoint_decodes_only_the_lines_after_it(
+        self, tmp_path, floor, decoded
+    ):
+        path = tmp_path / "c.jsonl"
+        path.write_text(records(5), encoding="utf-8")
+        ResponseCache(path)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(records(3, start=5))
+        decoded.clear()
+        backend = ReplayBackend.from_jsonl(path)
+        assert len(decoded) == 3
+        assert backend.cache._replies == full_parse(path)
+        assert json.loads(index_of(path).read_text())["lines"] == 8
+
+    def test_bad_line_after_the_checkpoint_is_exit_2_through_the_cli(
+        self, tmp_path, capsys, floor
+    ):
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("hello\ten\n", encoding="utf-8")
+        prompt = render_prompt("hello", TaskLanguage.KANNADA)
+        text = line(DEFAULT_MODEL_ID, prompt=prompt) + records(2)
+        path = tmp_path / "cache.jsonl"
+        path.write_text(text, encoding="utf-8")
+        ResponseCache(path)
+        path.write_text(text + "not json\n", encoding="utf-8")
+        code = main(["classify", str(corpus), "--task", "kn", "--backend", "replay",
+                     "--cache", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"dravlid: data error: {path} line 4: "), err
         assert "Traceback" not in err
 
 

@@ -15,14 +15,16 @@ from pathlib import Path
 
 import pytest
 
+import dravlid.cache
 import dravlid.cli
-from dravlid.cache import load_cache_records, make_record
+from dravlid.cache import ResponseCache, make_record
 from dravlid.cli import main
 from dravlid.fixtures import golden_report_path, replay_fixture_path, smoke_corpus_path
 from dravlid.metrics import REPORT_ROWS
 from dravlid.prompting import DEFAULT_MODEL_ID, ExperimentConfig, render_prompt
 from dravlid.taxonomy import TaskLanguage
 
+from conftest import read_cache_records
 from stub_server import StubChatServer
 
 KN_SMOKE = str(smoke_corpus_path(TaskLanguage.KANNADA))
@@ -395,6 +397,56 @@ class TestClassify:
         assert code == 2
         assert f"data error: {replay} line 1: field {field!r}" in capsys.readouterr().err
 
+    def test_replay_of_a_repeated_request_matches_the_live_rerun(self, tmp_path, capsys):
+        # Two processes that missed the same request both appended it.
+        first, *rest = Path(KN_REPLAY).read_text(encoding="utf-8").splitlines(True)
+        again = json.dumps({**json.loads(first), "raw_response": "Tamil"}) + "\n"
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(first + again + "".join(rest), encoding="utf-8")
+        flags = ["classify", KN_SMOKE, "--task", "kn", "--cache", str(cache)]
+        replay, live = tmp_path / "replay.jsonl", tmp_path / "live.jsonl"
+        assert main([*flags, "--backend", "replay", "--out", str(replay)]) == 0
+        with StubChatServer() as server:
+            assert main([*flags, "--backend", "live", "--base-url", server.base_url,
+                         "--api-key", "k", "--out", str(live)]) == 0
+            assert server.request_count == 0
+        assert "30 cache hits" in capsys.readouterr().out
+        assert replay.read_bytes() == live.read_bytes()
+        prediction = json.loads(replay.read_text(encoding="utf-8").splitlines()[0])
+        assert (prediction["word"], prediction["raw_response"]) == ("hello", "en")
+
+    @pytest.mark.parametrize("kind, message", [
+        ("missing", "[Errno 2] No such file or directory"),
+        ("directory", "[Errno 21] Is a directory"),
+    ])
+    def test_replay_file_that_cannot_be_read_is_data_error(
+        self, tmp_path, capsys, kind, message
+    ):
+        replay = tmp_path / "replay.jsonl"
+        if kind == "directory":
+            replay.mkdir()
+        code = main(
+            ["classify", KN_SMOKE, "--task", "kn", "--backend", "replay",
+             "--cache", str(replay)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"dravlid: data error: {message}: '{replay}'\n"
+        assert not replay.with_name("replay.jsonl.index").exists()
+
+    def test_replay_ignores_cache_bust(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dravlid.cache, "CHECKPOINT_MIN_BYTES", 1)
+        replay = tmp_path / "replay.jsonl"
+        replay.write_bytes(Path(KN_REPLAY).read_bytes())
+        ResponseCache(replay)  # checkpoints the file
+        index = replay.with_name("replay.jsonl.index")
+        before = replay.read_bytes(), index.read_bytes()
+        code = main(
+            ["classify", KN_SMOKE, "--task", "kn", "--backend", "replay",
+             "--cache", str(replay), "--cache-bust", "--out", str(tmp_path / "p.jsonl")]
+        )
+        assert code == 0
+        assert (replay.read_bytes(), index.read_bytes()) == before
+
 
 class TestLexiconDir:
     # Swaps the bundled verdicts: hello is English and mane Kannada there.
@@ -558,7 +610,7 @@ class TestClassifyLive:
             assert "dropped a torn last line" in caplog.text
             assert server.request_count == 2
             caplog.clear()
-            assert len(load_cache_records(cache)) == 2
+            assert len(ResponseCache(cache)) == 2
             assert caplog.records == []
             # The mended file serves the whole corpus.
             assert self.classify(both, cache, server) == 0
@@ -645,7 +697,8 @@ class TestInterrupt:
         assert "Traceback" not in err
         assert err == "dravlid: interrupted\n"
         assert not out.exists()
-        records = load_cache_records(cache)
+        records = read_cache_records(cache)
+        assert len(ResponseCache(cache)) == len(records)
         assert caplog.records == []  # no torn line was dropped
         assert 1 <= len(records) <= requests < 40
         assert {r.raw_response for r in records} == {"en"}

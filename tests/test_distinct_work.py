@@ -18,8 +18,8 @@ import dravlid.backends
 import dravlid.classifiers
 import dravlid.corpus
 import dravlid.runner
-from dravlid.backends import BaselineBackend, LiveBackend, ReplayBackend
-from conftest import token_rows
+from dravlid.backends import BaselineBackend, LiveBackend
+from conftest import replay_of, token_rows
 from dravlid.baseline import classify_baseline, default_lexicons
 from dravlid.cache import ResponseCache, make_record
 from dravlid.classifiers import RuleBasedClassifier, resolve_predictions
@@ -197,7 +197,7 @@ class TestManifestCountsTokens:
             make_record(self.config.model_id, 0.7, render_prompt(w, KN), "en")
             for w in set(WORDS)
         ]
-        manifest = run_experiment(self.ds, self.config, ReplayBackend(records)).manifest
+        manifest = run_experiment(self.ds, self.config, replay_of(records)).manifest
         assert manifest.cache_hits == len(WORDS)
 
     def test_live_counts_later_occurrences_of_a_miss_as_hits(self):

@@ -20,7 +20,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dravlid.backends import BaselineBackend, LiveBackend, ReplayBackend
+from conftest import replay_of
+from dravlid.backends import BaselineBackend, LiveBackend
 from dravlid.cache import ResponseCache, make_record
 from dravlid.classifiers import LLMClassifier, resolve_predictions
 from dravlid.cli import main
@@ -61,7 +62,7 @@ def make_backend(kind, words, config):
     if kind == "baseline":
         return BaselineBackend()
     if kind == "replay":
-        return ReplayBackend(
+        return replay_of(
             make_record(config.model_id, config.temperature, render_prompt(w, config.task),
                         reply_for(w))
             for w in dict.fromkeys(words)

@@ -8,9 +8,8 @@ import json
 
 import pytest
 
-from conftest import token_rows
+from conftest import read_cache_records, token_rows
 from dravlid.backends import ReplayBackend
-from dravlid.cache import load_cache_records
 from dravlid.corpus import parse_corpus_file
 from dravlid.fixtures import (
     OracleResult,
@@ -55,7 +54,7 @@ class TestSmokeCorpora:
 @pytest.mark.parametrize("task", TASKS)
 class TestReplayFixtures:
     def test_covers_every_word_at_three_temperatures(self, task):
-        records = load_cache_records(replay_fixture_path(task))
+        records = read_cache_records(replay_fixture_path(task))
         assert len(records) == 90
         assert len({r.cache_key for r in records}) == 90
 
@@ -66,7 +65,7 @@ class TestReplayFixtures:
             assert got == want_prompts
 
     def test_replies_exercise_every_normalization_path(self, task):
-        records = load_cache_records(replay_fixture_path(task))
+        records = read_cache_records(replay_fixture_path(task))
         codes = set(valid_codes(task))
         saw = {"whole": False, "token_code": False, "name_only": False, "fail": False}
         for record in records:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from conftest import replay_of
 from dravlid.backends import BaselineBackend, ReplayBackend
 from dravlid.cache import make_record
 from dravlid.corpus import parse_corpus, parse_corpus_file
@@ -32,7 +33,7 @@ def three_token_setup():
         make_record(config.model_id, 0.7, render_prompt(w, KN), reply)
         for w, reply in (("a", "en"), ("b", "kn"), ("c", "???"))
     ]
-    return ds, config, ReplayBackend(records)
+    return ds, config, replay_of(records)
 
 
 class TestRunExperiment:
