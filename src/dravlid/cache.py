@@ -7,19 +7,19 @@ is part of the request, always as a float: the same word at 0.7 and 0.9 is
 two experiments, while 1 and 1.0 are one.
 
 A record is found by its request fields, never by its stored hash: the
-in-memory index maps the request identity, (model_id, temperature text,
-prompt), to the reply. The identity holds exactly what the hash covers, so
-two requests have one identity when they have one key, and a hit needs
-neither JSON nor a hash. The hash is still written with every record, so
-the file format does not change.
+in-memory index groups the replies by (model_id, temperature text) and maps
+each group's prompts to their replies. Those three fields hold exactly what
+the hash covers, so two requests are one entry when they have one key, and
+a hit needs neither JSON nor a hash. The hash is still written with every
+record, so the file format does not change.
 
 A load that parsed at least CHECKPOINT_MIN_BYTES of the file saves the
-index beside it, as PATH.index: the replies grouped by (model_id,
-temperature text), with the bytes and lines of the file they come from and
-the SHA-256 of those bytes. The next load takes the index from there when
-the digest still matches the file's first bytes, and decodes only the lines
-after them. The file stays the only source of truth: a checkpoint that does
-not match, or that is not one, is ignored.
+index beside it, as PATH.index: its groups as they stand, with the bytes
+and lines of the file they come from and the SHA-256 of those bytes. The
+next load takes the groups from there when the digest still matches the
+file's first bytes, and decodes only the lines after them. The file stays
+the only source of truth: a checkpoint that does not match, or that is not
+one, is ignored.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import threading
 from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO
@@ -41,7 +40,7 @@ from dravlid.errors import CacheReadError, CacheWriteError
 
 try:
     import fcntl
-except ImportError:  # not on Windows: mends there take no lock
+except ImportError:  # not on Windows: appends there take no lock
     fcntl = None
 
 _log = logging.getLogger(__name__)
@@ -58,15 +57,10 @@ def cache_key(model_id: str, temperature: float, prompt: str) -> str:
 
 
 def temperature_text(temperature: float) -> str:
-    """The temperature as the request identity holds it: the float's repr,
-    which is its JSON text in cache_key for every finite value, so -0.0 and
-    0.0 stay apart as their keys do, while 1 and 1.0 are one."""
+    """The temperature as the index groups it: the float's repr, which is
+    its JSON text in cache_key for every finite value, so -0.0 and 0.0 stay
+    apart as their keys do, while 1 and 1.0 are one."""
     return repr(float(temperature))
-
-
-def request_identity(model_id: str, temperature: float, prompt: str) -> tuple[str, str, str]:
-    """What cache_key hashes, as a tuple: equal exactly when the keys are."""
-    return model_id, temperature_text(temperature), prompt
 
 
 def utc_now_rfc3339() -> str:
@@ -162,8 +156,8 @@ def make_record(
 
 
 class ResponseCache:
-    """In-memory index from request identity to reply, over an append-only
-    JSONL file.
+    """In-memory index of replies, grouped by (model_id, temperature text)
+    and keyed by prompt within a group, over an append-only JSONL file.
 
     Reads are lock-free; appends go through a single lock so each request
     is persisted at most once. The first record wins for a request: one
@@ -174,11 +168,7 @@ class ResponseCache:
     def __init__(self, path: str | Path | None, cache_bust: bool = False):
         self._path = Path(path) if path is not None else None
         self._lock = threading.Lock()
-        self._replies: dict[tuple[str, str, str], str] = {}
-        # Set when the file's last line has no newline: (bytes to keep, the
-        # bytes this instance saw after them), so that the first append cuts
-        # a torn line off, or starts on a fresh line after a whole one.
-        self._mend: tuple[int, bytes] | None = None
+        self._groups: dict[tuple[str, str], dict[str, str]] = {}
         if self._path is not None and self._path.exists():
             if cache_bust:
                 self._path.write_text("", encoding="utf-8")
@@ -190,26 +180,24 @@ class ResponseCache:
     def _load(self) -> None:
         """Fill the index from the checkpoint where it holds for the file,
         then from the lines after it; checkpoint the index again after
-        parsing enough lines."""
+        parsing enough lines that end cleanly."""
         with self._path.open("rb") as fh:
             found = _read_checkpoint(self._path, fh)
-            self._replies, start, lines, digest = found or ({}, 0, 0, hashlib.sha256())
+            self._groups, start, lines, digest = found or ({}, 0, 0, hashlib.sha256())
             fh.seek(start)
-            records, self._mend, lines = _read_cache_file(fh, self._path, lines, digest)
+            lines, whole = _read_cache_file(fh, self._path, self._groups, lines, digest)
             end = fh.tell()
-        add = self._replies.setdefault
-        for _, model_id, temperature, prompt, raw, _ in records:
-            add(request_identity(model_id, temperature, prompt), raw)
-        if self._mend is None and end - start >= CHECKPOINT_MIN_BYTES:
-            _write_checkpoint(self._path, self._replies, end, lines, digest.hexdigest())
+        if whole and end - start >= CHECKPOINT_MIN_BYTES:
+            _write_checkpoint(self._path, self._groups, end, lines, digest.hexdigest())
 
     def __len__(self) -> int:
-        return len(self._replies)
+        return sum(map(len, self._groups.values()))
 
     def get(self, model_id: str, temperature: str, prompt: str) -> str | None:
         """The cached reply to a request, or None; temperature is its
         temperature_text."""
-        return self._replies.get((model_id, temperature, prompt))
+        group = self._groups.get((model_id, temperature))
+        return None if group is None else group.get(prompt)
 
     def put_if_absent(self, record: CacheRecord) -> tuple[str, bool]:
         """Persist a record unless its request is already cached.
@@ -217,9 +205,10 @@ class ResponseCache:
         Returns (reply, inserted). The reply is the cached one when the
         request was already present.
         """
-        identity = request_identity(record.model_id, record.temperature, record.prompt)
+        request = (record.model_id, temperature_text(record.temperature))
         with self._lock:
-            existing = self._replies.get(identity)
+            group = self._groups.setdefault(request, {})
+            existing = group.get(record.prompt)
             if existing is not None:
                 return existing, False
             if self._path is not None:
@@ -230,52 +219,69 @@ class ResponseCache:
                     raise CacheWriteError(
                         f"failed to append cache record to {self._path}: {exc}"
                     ) from exc
-            self._replies[identity] = record.raw_response
+            group[record.prompt] = record.raw_response
             return record.raw_response, True
 
     def _append(self, data: bytes) -> None:
-        """Write data with one append, after mending a last line that has no
-        newline; the parent directory is made when the first open finds it
-        missing."""
-        flags = (os.O_WRONLY if self._mend is None else os.O_RDWR) | os.O_APPEND | os.O_CREAT
+        """Write data with one append, under an exclusive lock on the file,
+        so that the file ends on a line first: a torn last line (what a
+        writer that died mid-append leaves) is cut off, and a whole one
+        without its newline gets one. The parent directory is made when the
+        first open finds it missing."""
+        flags = os.O_RDWR | os.O_APPEND | os.O_CREAT
         try:
             fd = os.open(self._path, flags, 0o666)
         except FileNotFoundError:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             fd = os.open(self._path, flags, 0o666)
         try:
-            if self._mend is not None:
-                data = self._mended(fd, data)
+            if fcntl is not None:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+            end = os.lseek(fd, 0, os.SEEK_END)
+            if end and os.pread(fd, 1, end - 1) != b"\n":
+                start, line = _last_line(fd, end)
+                if _torn(line):
+                    os.ftruncate(fd, start)
+                else:
+                    data = b"\n" + data
             written = os.write(fd, data)
             if written != len(data):
-                # A full disk. Cut the partial line off on the next append.
-                self._mend = (os.lseek(fd, 0, os.SEEK_END) - written, data[:written])
+                # A full disk. The next append, by any writer, cuts it off.
                 raise OSError(f"wrote {written} of {len(data)} bytes")
-            self._mend = None
         finally:
             os.close(fd)  # and so unlock
 
-    def _mended(self, fd: int, data: bytes) -> bytes:
-        """Lock the file against other mending writers, cut off the bytes
-        this instance saw after `keep` if they are still all the file holds
-        there, and return data led by a newline if the file does not end in
-        one. Another process may have mended the file or appended since."""
-        keep, seen = self._mend
-        if fcntl is not None:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-        end = os.lseek(fd, 0, os.SEEK_END)
-        if end - keep == len(seen) and os.pread(fd, len(seen), keep) == seen:
-            os.ftruncate(fd, keep)
-            end = keep
-        return data if end == 0 or os.pread(fd, 1, end - 1) == b"\n" else b"\n" + data
+
+def _last_line(fd: int, end: int) -> tuple[int, bytes]:
+    """Where the last line of fd's first `end` bytes starts, and its bytes,
+    read backwards in steps that double."""
+    start, tail = end, b""
+    while start and b"\n" not in tail:
+        step = min(start, max(len(tail), 4096))
+        start -= step
+        tail = os.pread(fd, step, start) + tail
+    cut = tail.rfind(b"\n") + 1
+    return start + cut, tail[cut:]
+
+
+def _torn(line: bytes) -> bool:
+    """Whether a last line without its newline is what the loader drops as
+    the torn end of an append: not blank, and not UTF-8 or not JSON."""
+    try:
+        _decode_record(line.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return bool(line.strip())
+    except CacheReadError:  # JSON, so whole; the loader names it
+        pass
+    return False
 
 
 def _read_cache_file(
-    fh: BinaryIO, path: Path, lines: int, digest
-) -> tuple[list[tuple], tuple[int, bytes] | None, int]:
-    """The fields of each record from fh's position on, how to mend a last
-    line that has no newline (the bytes to keep and the torn line after
-    them, empty when the line is whole), and the number of the last line read.
+    fh: BinaryIO, path: Path, groups: dict, lines: int, digest
+) -> tuple[int, bool]:
+    """Add each record from fh's position on to groups, unless its request
+    is there already; return the number of the last line read and whether
+    the file ends on a line, which a checkpoint must.
 
     A last line without its newline that is not JSON is what a crash in
     the middle of an append leaves: it is dropped with a warning. Any other
@@ -283,25 +289,23 @@ def _read_cache_file(
     the 1-based line: `lines` lines come before the position, so errors
     name absolute lines. digest is updated with every byte read.
     """
-    records = []
     line = b""
     for lines, line in enumerate(fh, start=lines + 1):
         digest.update(line)
         if not line.strip():
             continue
         try:
-            records.append(_decode_record(line.decode("utf-8")))
+            _, model_id, temperature, prompt, raw, _ = _decode_record(line.decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # not UTF-8 or not JSON
             if line.endswith(b"\n"):
                 raise CacheReadError(f"{path} line {lines}: not JSON: {exc}") from None
             _log.warning("%s line %d: dropped a torn last line (not JSON, no newline)",
                          path, lines)
-            return records, (fh.tell() - len(line), line), lines
+            return lines, False
         except CacheReadError as exc:
             raise CacheReadError(f"{path} line {lines}: {exc}") from None
-    if line and not line.endswith(b"\n"):
-        return records, (fh.tell(), b""), lines
-    return records, None, lines
+        groups.setdefault((model_id, temperature_text(temperature)), {}).setdefault(prompt, raw)
+    return lines, line.endswith(b"\n") or not line
 
 
 def _checkpoint_path(path: Path) -> Path:
@@ -309,8 +313,8 @@ def _checkpoint_path(path: Path) -> Path:
 
 
 def _read_checkpoint(path: Path, fh: BinaryIO) -> tuple[dict, int, int, object] | None:
-    """The reply index that path's checkpoint holds, the bytes and lines of
-    the file it covers, and a SHA-256 over those bytes as read from fh.
+    """The reply groups that path's checkpoint holds, the bytes and lines of
+    the file they cover, and a SHA-256 over those bytes as read from fh.
 
     None when there is no checkpoint, or it does not hold for the file, or
     it is not one: what it returns passes the checks the line reader makes
@@ -332,38 +336,31 @@ def _read_checkpoint(path: Path, fh: BinaryIO) -> tuple[dict, int, int, object] 
             remaining -= len(chunk)
         if chunk[-1:] != b"\n" or digest.hexdigest() != doc["sha256"]:
             return None
-        replies = {}
+        groups = {}
         for model_id, temperature, prompts, raws in doc["groups"]:
             "".join([model_id, temperature, *prompts])  # TypeError unless all are str
             text = "".join(raws)
             if not text.isascii():
                 text.encode("utf-8")  # UnicodeEncodeError at a lone surrogate
-            identities = zip(repeat(model_id), repeat(temperature), prompts)
-            replies.update(zip(identities, raws, strict=True))
+            groups[model_id, temperature] = dict(zip(prompts, raws, strict=True))
     except (OSError, ValueError, TypeError, KeyError, RecursionError):
         return None
-    return replies, covers, lines, digest
+    return groups, covers, lines, digest
 
 
 def _write_checkpoint(
-    path: Path, replies: dict, covers: int, lines: int, sha256: str
+    path: Path, groups: dict, covers: int, lines: int, sha256: str
 ) -> None:
-    """Save the reply index as the checkpoint of path's first `covers`
+    """Save the reply groups as the checkpoint of path's first `covers`
     bytes, through a temp file and os.replace. One that cannot be written
     only leaves the next load slower."""
-    groups: dict[tuple[str, str], tuple[list[str], list[str]]] = {}
-    for (model_id, temperature, prompt), raw in replies.items():
-        group = groups.get((model_id, temperature))
-        if group is None:
-            group = groups[model_id, temperature] = ([], [])
-        group[0].append(prompt)
-        group[1].append(raw)
     doc = {
         "version": _CHECKPOINT_VERSION,
         "bytes": covers,
         "lines": lines,
         "sha256": sha256,
-        "groups": [[*request, prompts, raws] for request, (prompts, raws) in groups.items()],
+        "groups": [[*request, list(replies), list(replies.values())]
+                   for request, replies in groups.items()],
     }
     target = _checkpoint_path(path)
     temp = target.with_name(f"{target.name}.{os.getpid()}.tmp")

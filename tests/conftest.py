@@ -91,6 +91,13 @@ def read_cache_records(path) -> list[CacheRecord]:
     return [CacheRecord(**json.loads(line)) for line in lines if line.strip()]
 
 
+def flat_index(cache: ResponseCache) -> dict[tuple[str, str, str], str]:
+    """A cache's replies keyed by (model_id, temperature text, prompt), in
+    the order its groups hold them."""
+    return {(*request, prompt): reply
+            for request, replies in cache._groups.items() for prompt, reply in replies.items()}
+
+
 def replay_of(records) -> ReplayBackend:
     """A ReplayBackend over an in-memory cache of records; the first record
     for a request wins."""

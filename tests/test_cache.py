@@ -19,12 +19,12 @@ from dravlid.cache import (
     ResponseCache,
     cache_key,
     make_record,
-    request_identity,
+    temperature_text,
     utc_now_rfc3339,
 )
 from dravlid.errors import CacheReadError, CacheWriteError
 
-from conftest import read_cache_records
+from conftest import flat_index, read_cache_records
 
 
 def record(prompt="The word is x.", response="en", temp=0.7) -> CacheRecord:
@@ -34,7 +34,8 @@ def record(prompt="The word is x.", response="en", temp=0.7) -> CacheRecord:
 
 
 def identity(rec: CacheRecord) -> tuple[str, str, str]:
-    return request_identity(rec.model_id, rec.temperature, rec.prompt)
+    """The arguments of ResponseCache.get that find rec."""
+    return rec.model_id, temperature_text(rec.temperature), rec.prompt
 
 
 def replies_of(records: list[CacheRecord]) -> dict[tuple[str, str, str], str]:
@@ -102,20 +103,28 @@ PROMPTS = st.one_of(
 REQUESTS = st.tuples(st.sampled_from(["m", "m2", "ಮ"]), TEMPERATURES, PROMPTS)
 
 
+def entries_after(*requests) -> tuple[list[bool], int]:
+    """Whether put_if_absent inserted each request into one in-memory
+    cache, and how many entries the cache then holds."""
+    cache = ResponseCache(None)
+    inserted = [cache.put_if_absent(make_record(*request, "reply"))[1] for request in requests]
+    return inserted, len(cache)
+
+
 class TestRequestIdentity:
     @given(a=REQUESTS, b=REQUESTS)
-    def test_identities_equal_exactly_when_keys_are(self, a, b):
-        same_key = cache_key(*a) == cache_key(*b)
-        assert (request_identity(*a) == request_identity(*b)) == same_key
+    def test_second_request_is_inserted_exactly_when_the_keys_differ(self, a, b):
+        different_key = cache_key(*a) != cache_key(*b)
+        assert entries_after(a, b) == ([True, different_key], 1 + different_key)
         # And the cache answers b exactly when it holds a's key.
         cache = ResponseCache(None)
         cache.put_if_absent(make_record(*a, "reply"))
-        assert (cache.get(*request_identity(*b)) is not None) == same_key
+        assert (cache.get(*identity(make_record(*b, "reply"))) is None) == different_key
 
     def test_zero_and_negative_zero_are_two_requests(self):
         assert cache_key("m", 0.0, "p") != cache_key("m", -0.0, "p")
-        assert request_identity("m", 0.0, "p") != request_identity("m", -0.0, "p")
-        assert request_identity("m", 1, "p") == request_identity("m", 1.0, "p")
+        assert entries_after(("m", 0.0, "p"), ("m", -0.0, "p")) == ([True, True], 2)
+        assert entries_after(("m", 1, "p"), ("m", 1.0, "p")) == ([True, False], 1)
 
     def test_record_answers_the_request_its_fields_name_not_its_key(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -276,13 +285,13 @@ class TestLoadCacheRecords:
         path.write_text(
             "".join(r.to_json_line() + "\n" for r in recs), encoding="utf-8"
         )
-        assert list(ResponseCache(path)._replies.items()) == list(replies_of(recs).items())
+        assert list(flat_index(ResponseCache(path)).items()) == list(replies_of(recs).items())
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "c.jsonl"
         rec = record()
         path.write_text("\n" + rec.to_json_line() + "\n\n", encoding="utf-8")
-        assert ResponseCache(path)._replies == replies_of([rec])
+        assert flat_index(ResponseCache(path)) == replies_of([rec])
 
     @pytest.mark.parametrize(
         "line, reason",
@@ -315,7 +324,7 @@ class TestLoadCacheRecords:
         path = tmp_path / "c.jsonl"
         rec = record()
         path.write_text(" \t" + rec.to_json_line() + "\n", encoding="utf-8")
-        assert ResponseCache(path)._replies == replies_of([rec])
+        assert flat_index(ResponseCache(path)) == replies_of([rec])
 
     @pytest.mark.parametrize(
         "line, reason",
@@ -345,7 +354,7 @@ class TestLoadCacheRecords:
             rec.to_json_line() + "\n" + record(prompt="y").to_json_line()[:40],
             encoding="utf-8",
         )
-        assert ResponseCache(path)._replies == replies_of([rec])
+        assert flat_index(ResponseCache(path)) == replies_of([rec])
         assert [r.getMessage() for r in caplog.records] == [
             f"{path} line 2: dropped a torn last line (not JSON, no newline)"
         ]
@@ -373,7 +382,7 @@ class TestTornTail:
         ends = [sum(len(line) + 1 for line in TORN_LINES[:i]) + len(TORN_LINES[i])
                 for i in range(len(TORN_LINES))]
         complete = [r for r, end in zip(TORN_RECORDS, ends) if end <= cut]
-        assert ResponseCache(path)._replies == replies_of(complete)
+        assert flat_index(ResponseCache(path)) == replies_of(complete)
 
         extra = record(prompt="The word is new.")
         ResponseCache(path).put_if_absent(extra)
@@ -450,6 +459,37 @@ class TestSharedFile:
         assert read_cache_records(path) == [*kept, a1, a2, b1]
         assert b"\n\n" not in path.read_bytes()
 
+    @pytest.mark.parametrize("written, kept", [(20, []), (None, [TORN_RECORDS[1]])],
+                             ids=["torn", "unterminated"])
+    def test_append_after_another_writer_died_mid_append_keeps_every_whole_record(
+        self, tmp_path, written, kept
+    ):
+        path = tmp_path / "c.jsonl"
+        first = TORN_RECORDS[0]
+        path.write_bytes(TORN_LINES[0] + b"\n")
+        cache = ResponseCache(path)  # a file that ends cleanly
+        with path.open("ab") as fh:  # another writer dies before its newline
+            fh.write(TORN_LINES[1][:written])
+        mine = record(prompt="The word is mine.")
+        assert cache.put_if_absent(mine) == (mine.raw_response, True)
+        assert read_cache_records(path) == [first, *kept, mine]
+        assert flat_index(ResponseCache(path)) == replies_of([first, *kept, mine])
+
+    def test_short_write_is_cut_off_by_the_next_append_of_another_writer(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(TORN_FILE)
+        first, second = ResponseCache(path), ResponseCache(path)
+        real_write = os.write
+        with monkeypatch.context() as m:
+            m.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+            with pytest.raises(CacheWriteError, match="wrote 7 of"):
+                first.put_if_absent(record(prompt="The word is lost."))
+        extra = record(prompt="The word is new.")
+        second.put_if_absent(extra)
+        assert path.read_bytes() == TORN_FILE + extra.to_json_line().encode() + b"\n"
+
     def test_processes_appending_to_one_torn_cache_lose_nothing(self, tmp_path, monkeypatch):
         path = tmp_path / "c.jsonl"
         path.write_bytes(TORN_FILE[:-10])
@@ -477,7 +517,7 @@ class TestSharedFile:
         assert prompts == {r.prompt for r in TORN_RECORDS[:2]} | {
             f"The word is {name}{i}." for name in names for i in range(count)}
         monkeypatch.setattr(dravlid.cache, "CHECKPOINT_MIN_BYTES", 1)
-        full = ResponseCache(path)._replies  # a full parse, which writes a checkpoint
+        full = flat_index(ResponseCache(path))  # a full parse, which writes a checkpoint
         assert path.with_name(path.name + ".index").exists()
-        assert ResponseCache(path)._replies == full
+        assert flat_index(ResponseCache(path)) == full
         assert len(full) == len(prompts)

@@ -23,6 +23,7 @@ from dravlid.errors import CacheReadError
 from dravlid.prompting import DEFAULT_MODEL_ID, render_prompt
 from dravlid.taxonomy import TaskLanguage
 
+from conftest import flat_index
 from stub_server import StubChatServer
 
 
@@ -45,7 +46,7 @@ def full_parse(path) -> dict:
     copy = path.with_name(path.name + ".copy")
     copy.write_bytes(path.read_bytes())
     try:
-        return ResponseCache(copy)._replies
+        return flat_index(ResponseCache(copy))
     finally:
         copy.unlink()
         index_of(copy).unlink(missing_ok=True)
@@ -96,11 +97,11 @@ class TestEqualsAFullParse:
         for batch in batches:
             with path.open("ab") as fh:
                 fh.write("".join(batch).encode("utf-8"))
-            assert ResponseCache(path)._replies == full_parse(path)
+            assert flat_index(ResponseCache(path)) == full_parse(path)
             # The load just made checkpoints the file as it now stands.
             if path.stat().st_size:
                 assert json.loads(index_of(path).read_text())["bytes"] == path.stat().st_size
-        assert ResponseCache(path)._replies == full_parse(path)
+        assert flat_index(ResponseCache(path)) == full_parse(path)
 
     def test_prompt_with_a_lone_surrogate_escape_round_trips(self, tmp_path, floor, decoded):
         path = tmp_path / "c.jsonl"
@@ -108,9 +109,9 @@ class TestEqualsAFullParse:
         # json.dumps writes the surrogate as an escape.
         rec = {**asdict(make_record("m", 0.7, "p", "en")), "prompt": "The word is \udc80."}
         path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
-        first = ResponseCache(path)._replies
+        first = flat_index(ResponseCache(path))
         decoded.clear()
-        assert ResponseCache(path)._replies == first
+        assert flat_index(ResponseCache(path)) == first
         assert decoded == []
         assert first == full_parse(path) == {("m", "0.7", "The word is \udc80."): "en"}
 
@@ -129,7 +130,7 @@ class TestTail:
         checkpoint = json.loads(index_of(path).read_text())
         assert (checkpoint["bytes"], checkpoint["lines"]) == (path.stat().st_size, 8)
         decoded.clear()
-        replies = ResponseCache(path)._replies
+        replies = flat_index(ResponseCache(path))
         assert decoded == []
         assert replies == full_parse(path)
 
@@ -219,7 +220,7 @@ class TestReplay:
         decoded.clear()
         backend = ReplayBackend.from_jsonl(path)
         assert len(decoded) == 3
-        assert backend.cache._replies == full_parse(path)
+        assert flat_index(backend.cache) == full_parse(path)
         assert json.loads(index_of(path).read_text())["lines"] == 8
 
     def test_bad_line_after_the_checkpoint_is_exit_2_through_the_cli(
@@ -293,7 +294,7 @@ class TestHostileCheckpoint:
         doc = _valid_checkpoint(path)
         index_of(path).write_text(HOSTILE[case](doc, path.read_bytes()), encoding="utf-8")
         decoded.clear()
-        replies = ResponseCache(path)._replies
+        replies = flat_index(ResponseCache(path))
         assert len(decoded) == 3  # every line: nothing came from the checkpoint
         assert replies == full_parse(path)
 
@@ -301,13 +302,13 @@ class TestHostileCheckpoint:
         path = tmp_path / "c.jsonl"
         path.write_text(records(3), encoding="utf-8")
         index_of(path).mkdir()
-        assert ResponseCache(path)._replies == full_parse(path)
+        assert flat_index(ResponseCache(path)) == full_parse(path)
 
     def test_not_utf8_is_ignored(self, tmp_path, floor):
         path = tmp_path / "c.jsonl"
         _valid_checkpoint(path)
         index_of(path).write_bytes(b"\xff\xfe{}")
-        assert ResponseCache(path)._replies == full_parse(path)
+        assert flat_index(ResponseCache(path)) == full_parse(path)
 
     def test_cli_run_over_a_hostile_checkpoint_succeeds(self, tmp_path, capsys, floor):
         corpus = tmp_path / "c.tsv"
@@ -351,7 +352,7 @@ class TestWhenWritten:
                 raise PermissionError(13, "Permission denied", str(dst))
 
             monkeypatch.setattr(dravlid.cache.os, "replace", refuse)
-            assert ResponseCache(path)._replies == full_parse(path)
+            assert flat_index(ResponseCache(path)) == full_parse(path)
             assert sorted(os.listdir(directory)) == ["c.jsonl"]
         finally:
             directory.chmod(0o755)
@@ -403,3 +404,46 @@ class TestWhenWritten:
             ["m", "0.7", ["The word is w0.", "The word is w1."], ["r0", "r1"]],
             ["m", "-0.0", ["ಮನೆ"], ["ಕನ್ನಡ"]],
         ]
+
+
+def grouped(text: str) -> list:
+    """The groups a checkpoint of these cache lines holds, computed here:
+    replies grouped by model and temperature text, groups and the prompts in
+    each in order of first appearance, the first record for a request winning."""
+    groups = {}
+    for text_line in text.splitlines():
+        if text_line.strip():
+            rec = json.loads(text_line)
+            group = groups.setdefault((rec["model_id"], repr(float(rec["temperature"]))), {})
+            group.setdefault(rec["prompt"], rec["raw_response"])
+    return [[*request, list(replies), list(replies.values())]
+            for request, replies in groups.items()]
+
+
+class TestFormat:
+    def test_groups_are_the_file_grouped_by_model_and_temperature(
+        self, tmp_path, floor, decoded
+    ):
+        path = tmp_path / "c.jsonl"
+        head = [line("m", 0.7, "p1", "a"), line("ಮ", 0.0, "p1", "b"),
+                line("m", -0.0, "p2", "c"), line("m", 0.7, "p2", "d"),
+                line("m", 0.7, "p1", "repeat"), line("ಮ", 0.0, "p3", "e"),
+                line("m", 1, "p1", "f")]
+        tail = [line("m", 1.0, "p2", "g"), line("m2", 0.7, "p1", "h"),
+                line("m", -0.0, "p2", "again"), line("m", 0.0, "p4", "i"),
+                line("ಮ", 0.0, "p1", "late")]
+        path.write_text("".join(head), encoding="utf-8")
+        ResponseCache(path)
+        assert json.loads(index_of(path).read_text())["groups"] == grouped("".join(head))
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("".join(tail))
+        decoded.clear()
+        after_tail = flat_index(ResponseCache(path))
+        assert len(decoded) == len(tail)
+        checkpoint = json.loads(index_of(path).read_text())
+        assert checkpoint["groups"] == grouped("".join(head + tail))
+        assert (checkpoint["bytes"], checkpoint["lines"]) == (path.stat().st_size, 12)
+        decoded.clear()
+        checkpointed = flat_index(ResponseCache(path))
+        assert decoded == []
+        assert checkpointed == after_tail == full_parse(path)

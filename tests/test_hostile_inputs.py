@@ -6,7 +6,8 @@ float holds and lone surrogates; token and lexicon files meet bytes that
 are not UTF-8 and lone carriage returns, and --model a lone surrogate from
 such an argv byte. Every case must end in its exit code with
 one stderr line that names the file and line where there is one, and no
-traceback.
+traceback. The cache file and its checkpoint also meet such shapes drawn
+by hypothesis: a hostile checkpoint is always ignored.
 """
 
 import json
@@ -14,7 +15,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import dravlid.cache
 from dravlid.baseline import load_wordlist
 from dravlid.cache import make_record
 from dravlid.cli import main
@@ -102,6 +106,128 @@ class TestCacheLines:
         assert "Traceback" not in capsys.readouterr().err
         assert "line 2: dropped a torn last line" in caplog.text
         assert cache.read_text(encoding="utf-8").count("\n") == 2
+
+
+# Hostile JSON texts. Each may stand for a whole line or document; those in
+# HOSTILE_VALUES may also stand for any one value of a checkpoint, where none
+# of them is what a checkpoint can hold.
+HOSTILE_VALUES = [
+    "[" * 100_000,  # deep nesting, never closed
+    "[" * 5000 + "]" * 5000,  # deep nesting, closed
+    "1" * 5000,  # an int past Python's digit limit
+    "NaN", "Infinity", "-Infinity", "null", '{"x": [1]}',
+    '"a\rb"',  # a lone CR, raw inside a string
+]
+SURROGATES = ['"\\ud800"', '"The word is \\udc80."']  # lone surrogate escapes
+HOSTILE_JSON = st.sampled_from([*HOSTILE_VALUES, "[]", "1", '"x"', *SURROGATES])
+HOSTILE_BYTES = st.sampled_from([b"\xff", b"\xc3", b"\r"])  # not UTF-8, a lone CR
+THREE_WORDS = "hello\ten\nmane\tkn\nbook\ten\n"
+THREE_RECORDS = "".join(
+    make_record(DEFAULT_MODEL_ID, 0.7, render_prompt(word, TaskLanguage.KANNADA), "en",
+                "2026-01-01T00:00:00Z").to_json_line() + "\n"
+    for word in ("hello", "mane", "book"))
+# A record for a word the corpus does not hold, so it answers no word.
+OTHER = json.loads(make_record(DEFAULT_MODEL_ID, 0.7, "The word is other.", "en").to_json_line())
+
+
+def with_value(doc, where: tuple, value: str) -> str:
+    """doc as JSON text with the value at path `where` replaced by the text value."""
+    doc = json.loads(json.dumps(doc))
+    owner = doc
+    for key in where[:-1]:
+        owner = owner[key]
+    owner[where[-1]] = "\0hostile\0"
+    return json.dumps(doc, ensure_ascii=False).replace('"\\u0000hostile\\u0000"', value)
+
+
+@st.composite
+def hostile_cache_lines(draw) -> bytes:
+    """A line, without its end, that is hostile whole, in one field, or at one byte."""
+    kind = draw(st.sampled_from(["whole", "field", "byte"]))
+    if kind == "whole":
+        return draw(HOSTILE_JSON).encode("utf-8")
+    if kind == "field":
+        field = draw(st.sampled_from(sorted(OTHER)))
+        return with_value(OTHER, (field,), draw(HOSTILE_JSON)).encode("utf-8")
+    text = json.dumps(OTHER).encode("utf-8")
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(HOSTILE_BYTES) + text[at:]
+
+
+# Where a value may go in a checkpoint of THREE_RECORDS, which is one group.
+CHECKPOINT_PLACES = [("version",), ("bytes",), ("lines",), ("sha256",), ("groups",),
+                     ("groups", 0), ("groups", 0, 0), ("groups", 0, 1), ("groups", 0, 2),
+                     ("groups", 0, 2, 1), ("groups", 0, 3), ("groups", 0, 3, 2)]
+
+
+@st.composite
+def hostile_checkpoints(draw, doc: dict) -> bytes:
+    """doc spoiled: replaced whole, a value of it replaced, or a byte that is
+    not UTF-8 put into it. A prompt may hold a lone surrogate, as a cache
+    line's may, so only a reply takes one."""
+    kind = draw(st.sampled_from(["whole", "value", "byte"]))
+    if kind == "whole":
+        return draw(HOSTILE_JSON).encode("utf-8")
+    text = json.dumps(doc).encode("utf-8")
+    if kind == "byte":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from([b"\xff", b"\xc3"])) + text[at:]
+    where = draw(st.sampled_from(CHECKPOINT_PLACES))
+    reply = where == ("groups", 0, 3, 2)
+    value = draw(st.sampled_from(HOSTILE_VALUES + SURROGATES if reply else HOSTILE_VALUES))
+    return with_value(doc, where, value).encode("utf-8")
+
+
+def replay_classify(tmp_path, cache: Path) -> int:
+    corpus = write(tmp_path / "c.tsv", THREE_WORDS)
+    return main(["classify", corpus, "--task", "kn", "--backend", "replay",
+                 "--cache", str(cache), "--out", str(tmp_path / "p.jsonl")])
+
+
+class TestDrawnHostileShapes:
+    """Hostile shapes drawn into the cache file and into its checkpoint, run
+    through main(argv): exit 0 or 2, at most one stderr line, no traceback."""
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(line=hostile_cache_lines(), first=st.booleans(),
+           end=st.sampled_from([b"\n", b"\r\n", b""]))
+    def test_cache_line(self, tmp_path, capsys, line, first, end):
+        cache = tmp_path / "cache.jsonl"
+        records = THREE_RECORDS.encode("utf-8")
+        first = first and end != b""  # a line without its end is the last
+        cache.write_bytes(line + end + records if first else records + line + end)
+        code = replay_classify(tmp_path, cache)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert code in (0, 2), err
+        assert len(err.splitlines()) <= 1, err
+        if code == 2:  # only the hostile line can be at fault
+            number = 1 if first else 4
+            assert err.startswith(f"dravlid: data error: {cache} line {number}: "), err
+        else:
+            assert len((tmp_path / "p.jsonl").read_text(encoding="utf-8").splitlines()) == 3
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_checkpoint_is_ignored(self, tmp_path, capsys, monkeypatch, data):
+        monkeypatch.setattr(dravlid.cache, "CHECKPOINT_MIN_BYTES", 1)
+        cache = tmp_path / "cache.jsonl"
+        index = tmp_path / "cache.jsonl.index"
+        cache.write_text(THREE_RECORDS, encoding="utf-8")
+        index.unlink(missing_ok=True)
+        assert replay_classify(tmp_path, cache) == 0
+        expected = (tmp_path / "p.jsonl").read_bytes()
+        index.write_bytes(data.draw(hostile_checkpoints(json.loads(index.read_text()))))
+        decoded = []
+        real = dravlid.cache._decode_record
+        monkeypatch.setattr(dravlid.cache, "_decode_record",
+                            lambda text: decoded.append(text) or real(text))
+        code = replay_classify(tmp_path, cache)
+        monkeypatch.setattr(dravlid.cache, "_decode_record", real)
+        err = capsys.readouterr().err
+        assert (code, err) == (0, "")
+        assert len(decoded) == 3  # every line: nothing came from the checkpoint
+        assert (tmp_path / "p.jsonl").read_bytes() == expected
 
 
 class TestPredictionsLines:
