@@ -160,7 +160,7 @@ def main() -> int:
         config = ExperimentConfig(task=task, model_id=DEFAULT_MODEL_ID, temperature=0.7)
         result = run_experiment(ds, config, backend, failure_policy="map_to_other")
         expected_unparseable = len(UNRECOGNIZED_AT[0.7])
-        assert result.manifest.unparseable_count == expected_unparseable
+        assert result.unparseable_count == expected_unparseable
         report = evaluate_run(ds, result.predictions, run_label=config.run_label)
         assert 0.0 < report.accuracy < 1.0, "golden run should be neither perfect nor hopeless"
         golden_report_path(task).write_text(report_to_json(report), encoding="utf-8")

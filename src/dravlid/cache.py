@@ -323,9 +323,9 @@ def _read_checkpoint(path: Path, fh: BinaryIO) -> tuple[dict, int, int, object] 
     """
     try:
         doc = json.loads(_checkpoint_path(path).read_text(encoding="utf-8"))
-        covers, lines = doc["bytes"], doc["lines"]
-        if (doc["version"] != _CHECKPOINT_VERSION or type(covers) is not int
-                or type(lines) is not int or covers < 0 or lines < 0):
+        version, covers, lines = doc["version"], doc["bytes"], doc["lines"]
+        if (type(version) is not int or type(covers) is not int or type(lines) is not int
+                or version != _CHECKPOINT_VERSION or covers < 0 or lines < 0):
             return None
         digest, remaining, chunk = hashlib.sha256(), covers, b"\n"
         while remaining:

@@ -1,4 +1,7 @@
-"""Estimator-style classifier API.
+"""Estimator-style classifier API, and the reply table every run reads.
+
+`resolve_predictions` normalizes each distinct reply once, into the reply
+table that a run and the estimators read their categories from.
 
 Both classifiers follow scikit-learn conventions (constructor params stored
 verbatim, get_params/set_params, a no-op fit returning self) so they drop
@@ -9,8 +12,7 @@ to train: fit only resolves and validates parameters.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Iterable, NamedTuple
 
@@ -78,57 +80,20 @@ class Reply(NamedTuple):
     unparseable: bool
 
 
-@dataclass(frozen=True)
-class Resolution(Sequence[WordPrediction]):
-    """Resolved replies as columns, one entry per input word.
-
-    `table` maps each distinct reply to its Reply. Indexing or iterating
-    builds a WordPrediction per entry on demand, from the same columns.
-    """
-
-    words: Sequence[str]
-    replies: list[str]
-    from_cache: list[bool]
-    table: dict[str, Reply]
-
-    @cached_property
-    def rows(self) -> list[Reply]:
-        """Each entry's Reply, shared between entries with the same reply."""
-        return list(map(self.table.__getitem__, self.replies))
-
-    @cached_property
-    def categories(self) -> list[Category]:
-        return list(map(attrgetter("category"), self.rows))
-
-    def __len__(self) -> int:
-        return len(self.replies)
-
-    def __getitem__(self, i: int | slice) -> WordPrediction | list[WordPrediction]:
-        if isinstance(i, slice):
-            return list(map(self.__getitem__, range(len(self))[i]))
-        category, code, unparseable = self.rows[i]
-        return WordPrediction(
-            self.words[i], self.replies[i], category, code, self.from_cache[i], unparseable
-        )
-
-
 def resolve_predictions(
     words: Sequence[str],
     replies: list[str],
-    from_cache: list[bool],
     task: TaskLanguage,
     failure_policy: str = "map_to_other",
-) -> Resolution:
-    """Normalize a backend's answer columns for words into categories.
+) -> dict[str, Reply]:
+    """Normalize a backend's replies to words into a reply table: each
+    distinct reply, normalized once, to its Reply.
 
     map_to_other turns unrecognizable replies into Other (flagged); strict
     raises on the first one in input order, naming the word and the raw
-    reply. Each distinct reply is normalized once, into the table that
-    every entry with that reply reads.
+    reply.
     """
     check_policy(failure_policy)
-    if not len(words) == len(replies) == len(from_cache):
-        raise ValueError("words, replies and from_cache differ in length")
     table: dict[str, Reply] = {}
     for reply in dict.fromkeys(replies):
         outcome = normalize_response(reply, task)
@@ -140,7 +105,7 @@ def resolve_predictions(
             f"could not map reply for word {words[i]!r} to a category "
             f"(raw reply: {replies[i]!r})"
         )
-    return Resolution(words, replies, from_cache, table)
+    return table
 
 
 @dataclass(eq=False)
@@ -193,15 +158,17 @@ class BaseWordClassifier:
         backend = self._backend()
         ds = X if isinstance(X, Dataset) else Dataset(config.task, words, [None] * len(words))
         replies, hits = backend.classify_words(ds.words, config)
-        distinct = resolve_predictions(ds.words, replies, hits, config.task, policy)
-        predictions = list(map(distinct.__getitem__, ds.index))
-        if isinstance(backend, LiveBackend):
-            seen = 0  # word ids run in first-occurrence order
-            for t, i in enumerate(ds.index):
-                if i < seen:
-                    predictions[t] = replace(predictions[t], from_cache=True)
-                else:
-                    seen += 1
+        table = resolve_predictions(ds.words, replies, config.task, policy)
+        live = isinstance(backend, LiveBackend)
+        predictions = []
+        seen = 0  # word ids run in first-occurrence order
+        for i in ds.index:
+            repeat = i < seen
+            seen += not repeat
+            category, code, unparseable = table[replies[i]]
+            predictions.append(WordPrediction(
+                ds.words[i], replies[i], category, code, hits[i] or (live and repeat), unparseable
+            ))
         return predictions
 
     def predict(self, X) -> list[Category]:

@@ -227,7 +227,7 @@ def _session(args: argparse.Namespace):
 
 def _write_run(result, predictions_path, manifest_path) -> None:
     write_predictions_jsonl(result, predictions_path)
-    Path(manifest_path).write_text(result.manifest.to_json(), encoding="utf-8")
+    Path(manifest_path).write_text(result.manifest_json(), encoding="utf-8")
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -267,14 +267,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
         result = run_experiment(ds, config, backend, failure_policy=args.policy)
         if args.out:
             _write_run(result, args.out, f"{args.out}.manifest.json")
-            m = result.manifest
             print(
-                f"wrote {m.token_count} predictions to {args.out} "
-                f"({m.cache_hits} cache hits, {m.unparseable_count} unparseable)"
+                f"wrote {result.token_count} predictions to {args.out} "
+                f"({result.cache_hits} cache hits, {result.unparseable_count} unparseable)"
             )
         else:
             sys.stdout.flush()  # the lines go out as UTF-8 bytes, whatever the locale
-            write_predictions(result.distinct, result.index, sys.stdout.buffer)
+            write_predictions(result, sys.stdout.buffer)
     return EXIT_OK
 
 

@@ -1,11 +1,11 @@
 """Experiment orchestration: run a backend over a corpus, evaluate, record.
 
 A run predicts once per distinct word and puts the predictions in token order
-through the dataset's index, plus a manifest (start and finish times, cache
-hits, unparseable count) that makes reruns auditable. A run is held as
-columns over the distinct words, never as an object per word: it is written
-from one encoded line per distinct word and scored from the dataset's (gold,
-word) pair counts.
+through the dataset's index. It is one record: its config and provenance,
+columns over the distinct words, and the token counts (cache hits,
+unparseable) that its manifest renders to make reruns auditable. A run holds
+no object per word: it is written from one encoded line per distinct word
+and scored from the dataset's (gold, word) pair counts.
 """
 
 from __future__ import annotations
@@ -13,14 +13,14 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
-from operator import attrgetter
 from pathlib import Path
 from typing import BinaryIO, Sequence
 
 from dravlid.backends import Backend, LiveBackend
 from dravlid.cache import utc_now_rfc3339
-from dravlid.classifiers import Resolution, check_policy, resolve_predictions
+from dravlid.classifiers import Reply, check_policy, resolve_predictions
 from dravlid.corpus import SKIP, Dataset, naming_bad_bytes, read_lines
 from dravlid.errors import CorpusParseError, UnknownLabelCodeError
 from dravlid.metrics import MetricReport, count_pairs, count_pairs_by_word, evaluate
@@ -33,7 +33,6 @@ _LINE_HEAD = '{"category_code": %s, "raw_response": %s, "word": '
 _LINE_TAIL = "}\n"
 # The C string encoder behind json.dumps(ensure_ascii=False).
 _encode = json.encoder.encode_basestring
-_unparseable = attrgetter("unparseable")
 # Tokens per write of the predictions file: about 150 kB, as fast as more.
 _CHUNK_TOKENS = 2048
 # json.loads minus its whitespace skipping, for an already stripped line.
@@ -41,8 +40,9 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 @dataclass(frozen=True)
-class RunManifest:
-    """What happened during one run, for reproducibility audits."""
+class RunResult:
+    """One run over a dataset: how it was made, a reply per entry of
+    `ds.words`, `ds.index` to map tokens to them, and token counts."""
 
     config: ExperimentConfig
     corpus_path: str
@@ -50,44 +50,41 @@ class RunManifest:
     failure_policy: str
     started_at: str
     finished_at: str
-    unparseable_count: int
-    cache_hits: int
-    token_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "run_label": self.config.run_label,
-            "task": self.config.task.value,
-            "model_id": self.config.model_id,
-            "temperature": self.config.temperature,
-            "max_output_tokens": self.config.max_output_tokens,
-            "corpus_path": self.corpus_path,
-            "backend_kind": self.backend_kind,
-            "failure_policy": self.failure_policy,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "unparseable_count": self.unparseable_count,
-            "cache_hits": self.cache_hits,
-            "token_count": self.token_count,
-            "message_format": "single-user",
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
-@dataclass(frozen=True)
-class RunResult:
-    """One prediction per entry of `ds.words`, and `ds.index` to map tokens to them."""
-
-    distinct: Resolution
+    words: Sequence[str]
+    replies: list[str]
+    table: dict[str, Reply]
     index: array
-    manifest: RunManifest
+    cache_hits: int
+    unparseable_count: int
+
+    @property
+    def token_count(self) -> int:
+        return len(self.index)
+
+    @cached_property
+    def categories(self) -> list[Category]:
+        """The category of each distinct word."""
+        return [self.table[reply].category for reply in self.replies]
 
     @property
     def predictions(self) -> tuple[Category, ...]:
         """Categories in token order."""
-        return tuple(map(self.distinct.categories.__getitem__, self.index))
+        return tuple(map(self.categories.__getitem__, self.index))
+
+    def manifest_json(self) -> str:
+        """The manifest file's text: the request, the provenance, both
+        timestamps and the token counts, as sorted, indented JSON."""
+        config = self.config
+        return json.dumps({
+            "run_label": config.run_label, "task": config.task.value,
+            "model_id": config.model_id, "temperature": config.temperature,
+            "max_output_tokens": config.max_output_tokens, "message_format": "single-user",
+            "corpus_path": self.corpus_path, "backend_kind": self.backend_kind,
+            "failure_policy": self.failure_policy,
+            "started_at": self.started_at, "finished_at": self.finished_at,
+            "token_count": self.token_count, "cache_hits": self.cache_hits,
+            "unparseable_count": self.unparseable_count,
+        }, sort_keys=True, indent=2) + "\n"
 
 
 def run_experiment(
@@ -105,24 +102,20 @@ def run_experiment(
 
     started_at = utc_now_rfc3339()
     replies, hits = backend.classify_words(ds.words, config)
-    distinct = resolve_predictions(ds.words, replies, hits, config.task, failure_policy)
+    table = resolve_predictions(ds.words, replies, config.task, failure_policy)
     finished_at = utc_now_rfc3339()
 
-    manifest = RunManifest(
-        config=config,
-        corpus_path=ds.source_path,
-        backend_kind=backend.kind,
-        failure_policy=failure_policy,
-        started_at=started_at,
-        finished_at=finished_at,
-        unparseable_count=_tokens_flagged(list(map(_unparseable, distinct.rows)), ds),
+    unparseable = [table[reply].unparseable for reply in replies]
+    return RunResult(
+        config=config, corpus_path=ds.source_path, backend_kind=backend.kind,
+        failure_policy=failure_policy, started_at=started_at, finished_at=finished_at,
+        words=ds.words, replies=replies, table=table, index=ds.index,
         cache_hits=(
             len(ds) - hits.count(False) if isinstance(backend, LiveBackend)
             else _tokens_flagged(hits, ds)
         ),
-        token_count=len(ds),
+        unparseable_count=_tokens_flagged(unparseable, ds),
     )
-    return RunResult(distinct=distinct, index=ds.index, manifest=manifest)
 
 
 def _tokens_flagged(flags: list[bool], ds: Dataset) -> int:
@@ -146,7 +139,7 @@ def evaluate_run(
     if isinstance(predictions, RunResult):
         if predictions.index is not ds.index:
             raise ValueError("the run is not of this dataset")
-        pairs = count_pairs_by_word(ds.gold_words, predictions.distinct.categories)
+        pairs = count_pairs_by_word(ds.gold_words, predictions.categories)
     else:
         gold = ds.gold_categories()
         if len(predictions) != len(gold):
@@ -160,13 +153,11 @@ def evaluate_run(
 def write_predictions_jsonl(result: RunResult, path: str | Path) -> None:
     """Persist a run's predictions as JSONL of {word, raw_response, category_code}."""
     with Path(path).open("wb") as out:
-        write_predictions(result.distinct, result.index, out)
+        write_predictions(result, out)
 
 
-def write_predictions(
-    predictions: Resolution, index: Sequence[int], out: BinaryIO
-) -> None:
-    """Write one UTF-8 JSON line per token, the token's entry of predictions.
+def write_predictions(result: RunResult, out: BinaryIO) -> None:
+    """Write one UTF-8 JSON line per token of a run, its word's entry.
 
     Each distinct reply's head and each entry's line are encoded once, and
     the file goes out in chunks, never whole. The bytes equal
@@ -176,12 +167,13 @@ def write_predictions(
     """
     heads = {
         reply: _LINE_HEAD % (_encode(row.code), _encode(reply))
-        for reply, row in predictions.table.items()
+        for reply, row in result.table.items()
     }
     lines = [
         (head + _encode(word) + _LINE_TAIL).encode("utf-8")
-        for head, word in zip(map(heads.__getitem__, predictions.replies), predictions.words)
+        for head, word in zip(map(heads.__getitem__, result.replies), result.words)
     ]
+    index = result.index
     for start in range(0, len(index), _CHUNK_TOKENS):
         out.write(b"".join(map(lines.__getitem__, index[start:start + _CHUNK_TOKENS])))
 

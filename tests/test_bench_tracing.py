@@ -62,3 +62,33 @@ def test_traced_sweep_spans_each_run(monkeypatch, capsys):
     assert len(runs) == 3
     main_ids = {s.id for s in tracer.spans if s.name == "cli.main"}
     assert all(s.parent in main_ids for s in runs)
+
+
+def test_every_layer_the_tracer_times_reads_above_zero(tmp_path, monkeypatch, capsys):
+    """A moved resolve_predictions or normalize_response would leave its
+    patch point unused, and its layers would read zero."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    corpus = str(smoke_corpus_path(TaskLanguage.KANNADA))
+    preds = str(tmp_path / "p.jsonl")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert dravlid.cli.main(["classify", corpus, "--task", "kn",
+                                 "--backend", "baseline", "--out", preds]) == 0
+        assert dravlid.cli.main(["evaluate", "--gold", corpus, "--pred", preds]) == 0
+        assert dravlid.cli.main(
+            ["sweep", corpus, "--task", "kn", "--backend", "replay",
+             "--cache", str(replay_fixture_path(TaskLanguage.KANNADA)),
+             "--out-dir", str(tmp_path / "runs")]
+        ) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    layers = tracer.layer_metrics()
+    for name in ("classifiers.resolve_s", "taxonomy.normalize_s", "taxonomy.unparseable",
+                 "runner.write_predictions_s", "runner.read_predictions_s",
+                 "metrics.evaluate_s", "backends.classify_s"):
+        assert layers[name] > 0, name

@@ -267,6 +267,8 @@ HOSTILE = {
     "huge-int": lambda doc, data: '{"version": 1, "bytes": ' + "1" * 5000 + "}",
     "not-an-object": lambda doc, data: json.dumps([doc]),
     "unknown-version": lambda doc, data: json.dumps({**doc, "version": 99}),
+    "version-true": lambda doc, data: json.dumps({**doc, "version": True}),
+    "version-float": lambda doc, data: json.dumps({**doc, "version": 1.0}),
     "no-version": lambda doc, data: json.dumps(
         {k: v for k, v in doc.items() if k != "version"}),
     "covers-past-the-end": lambda doc, data: json.dumps({**doc, "bytes": doc["bytes"] + 1}),

@@ -5,6 +5,7 @@ import pytest
 from dravlid.backends import BaselineBackend, ReplayBackend
 from dravlid.classifiers import (
     LLMClassifier,
+    Reply,
     RuleBasedClassifier,
     WordPrediction,
     check_policy,
@@ -19,9 +20,19 @@ from dravlid.taxonomy import Category, TaskLanguage
 KN = TaskLanguage.KANNADA
 
 
-def columns(*pairs) -> tuple[list[str], list[str], list[bool]]:
-    """(words, replies, from_cache) of (word, reply) pairs, none from a cache."""
-    return [w for w, _ in pairs], [r for _, r in pairs], [False] * len(pairs)
+def columns(*pairs) -> tuple[list[str], list[str]]:
+    """(words, replies) of (word, reply) pairs."""
+    return [w for w, _ in pairs], [r for _, r in pairs]
+
+
+class AnsweringBackend:
+    """A backend that answers with fixed columns, whatever it is asked."""
+
+    def __init__(self, replies: list[str], hits: list[bool]):
+        self.replies, self.hits = replies, hits
+
+    def classify_words(self, words, config):
+        return self.replies, self.hits
 
 
 class TestInputValidation:
@@ -51,16 +62,14 @@ class TestInputValidation:
 
 class TestResolvePredictions:
     def test_map_to_other_counts_unparseable(self):
-        resolved = resolve_predictions(
+        table = resolve_predictions(
             *columns(("a", "en"), ("b", "kn"), ("c", "???")), KN, "map_to_other"
         )
-        assert [p.category for p in resolved] == [
-            Category.ENGLISH,
-            Category.DRAVIDIAN,
-            Category.OTHER,
-        ]
-        assert [p.unparseable for p in resolved] == [False, False, True]
-        assert resolved[2].category_code == "other"
+        assert table == {
+            "en": Reply(Category.ENGLISH, "en", False),
+            "kn": Reply(Category.DRAVIDIAN, "kn", False),
+            "???": Reply(Category.OTHER, "other", True),
+        }
 
     def test_strict_raises_naming_word_and_reply(self):
         with pytest.raises(UnparseableResponseError) as excinfo:
@@ -70,26 +79,13 @@ class TestResolvePredictions:
         assert "no idea at all" in message
 
     def test_from_cache_carried_through(self):
-        resolved = resolve_predictions(["a"], ["en"], [True], KN, "map_to_other")
-        assert resolved[0].from_cache is True
+        # Not a LiveBackend, so the repeat of a miss is a miss too.
+        clf = LLMClassifier(task="kn", backend=AnsweringBackend(["kn", "en"], [False, True]))
+        detailed = clf.fit().predict_detailed(["b", "a", "b"])
+        assert [p.from_cache for p in detailed] == [False, True, False]
 
     def test_empty_input_empty_output(self):
-        assert list(resolve_predictions([], [], [], KN, "map_to_other")) == []
-
-    def test_columns_of_different_lengths_rejected(self):
-        with pytest.raises(ValueError, match="differ in length"):
-            resolve_predictions(["a", "b"], ["en"], [False, False], KN)
-
-    @pytest.mark.parametrize("stop", [2, 3])
-    def test_slice_is_a_list_of_predictions(self, stop):
-        resolved = resolve_predictions(
-            *columns(("a", "en"), ("b", "kn"), ("c", "???")), KN, "map_to_other"
-        )
-        whole = [resolved[i] for i in range(3)]
-        assert resolved[0:stop] == whole[0:stop]
-        assert all(isinstance(p, WordPrediction) for p in resolved[0:stop])
-        assert resolved[::-1] == whole[::-1]
-        assert resolved[5:] == []
+        assert resolve_predictions([], [], KN, "map_to_other") == {}
 
 
 class TestEstimatorConventions:

@@ -6,6 +6,7 @@ Exit-code contract: 0 success, 1 usage, 2 data, 3 transport.
 import gc
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -343,6 +344,35 @@ class TestClassify:
         assert manifest["backend_kind"] == "replay"
         assert manifest["token_count"] == 30
         assert len(out.read_text(encoding="utf-8").splitlines()) == 30
+
+    def test_manifest_bytes(self, tmp_path, capsys):
+        """The whole manifest file, its two timestamps masked: keys sorted,
+        a 2-space indent, each value of its JSON type, a final newline."""
+        out = tmp_path / "preds.jsonl"
+        assert main(["classify", KN_SMOKE, "--task", "kn", "--backend", "replay",
+                     "--cache", KN_REPLAY, "--out", str(out)]) == 0
+        capsys.readouterr()
+        text = (tmp_path / "preds.jsonl.manifest.json").read_text(encoding="utf-8")
+        stamp = r'"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}Z"'
+        masked = re.sub(rf'("(?:started|finished)_at": ){stamp}', r'\1"*"', text)
+        assert masked == (
+            "{\n"
+            '  "backend_kind": "replay",\n'
+            '  "cache_hits": 30,\n'
+            f'  "corpus_path": {json.dumps(KN_SMOKE)},\n'
+            '  "failure_policy": "map_to_other",\n'
+            '  "finished_at": "*",\n'
+            '  "max_output_tokens": 16,\n'
+            '  "message_format": "single-user",\n'
+            '  "model_id": "gpt-3.5-turbo",\n'
+            '  "run_label": "kannada-t0.7",\n'
+            '  "started_at": "*",\n'
+            '  "task": "kannada",\n'
+            '  "temperature": 0.7,\n'
+            '  "token_count": 30,\n'
+            '  "unparseable_count": 1\n'
+            "}\n"
+        )
 
     def test_replay_missing_word_is_data_error(self, tmp_path, capsys):
         corpus = write_lines(tmp_path / "c.tsv", "unrecorded\ten")

@@ -9,6 +9,7 @@ count and error is what one call per token would give.
 
 import io
 import json
+from array import array
 
 import pytest
 from hypothesis import given
@@ -22,11 +23,16 @@ from dravlid.backends import BaselineBackend, LiveBackend
 from conftest import replay_of, token_rows
 from dravlid.baseline import classify_baseline, default_lexicons
 from dravlid.cache import ResponseCache, make_record
-from dravlid.classifiers import RuleBasedClassifier, resolve_predictions
+from dravlid.classifiers import Reply, RuleBasedClassifier, resolve_predictions
 from dravlid.corpus import parse_corpus
 from dravlid.errors import UnparseableResponseError
 from dravlid.prompting import ExperimentConfig, render_prompt
-from dravlid.runner import read_predictions_jsonl, run_experiment, write_predictions
+from dravlid.runner import (
+    RunResult,
+    read_predictions_jsonl,
+    run_experiment,
+    write_predictions,
+)
 from dravlid.taxonomy import Category, TaskLanguage, code_for, parse_gold_label, valid_codes
 
 KN = TaskLanguage.KANNADA
@@ -136,40 +142,26 @@ def test_columnar_parse_matches_per_line_reference(pool, picks):
 
 
 def test_resolve_normalizes_each_distinct_reply_once(monkeypatch):
-    raws = [
-        ("a", "en", False),
-        ("b", "en", True),
-        ("a", "en", True),
-        ("c", "Kannada.", False),
-        ("d", "???", False),
-        ("c", "Kannada.", False),
-        ("e", "???", True),
-    ]
+    words = ["a", "b", "a", "c", "d", "c", "e"]
+    replies = ["en", "en", "en", "Kannada.", "???", "Kannada.", "???"]
     calls = counting(monkeypatch, dravlid.classifiers, "normalize_response")
-    resolved = resolve_predictions(*map(list, zip(*raws)), KN)
+    table = resolve_predictions(words, replies, KN)
 
     assert sorted(args[0] for args in calls) == ["???", "Kannada.", "en"]
-    assert [(p.word, p.raw_response, p.from_cache) for p in resolved] == raws
-    assert [p.category for p in resolved] == [
-        Category.ENGLISH, Category.ENGLISH, Category.ENGLISH,
-        Category.DRAVIDIAN, Category.OTHER, Category.DRAVIDIAN, Category.OTHER,
-    ]
-    assert [p.unparseable for p in resolved] == [
-        False, False, False, False, True, False, True,
-    ]
-    # One table row per distinct reply, shared by every entry with that reply.
-    assert len(resolved.table) == 3
-    assert resolved.rows[0] is resolved.rows[1] is resolved.rows[2]
-    assert resolved.rows[3] is resolved.rows[5]
-    assert resolved.rows[4] is resolved.rows[6]
+    # One row per distinct reply, in first-occurrence order.
+    assert table == {
+        "en": Reply(Category.ENGLISH, "en", False),
+        "Kannada.": Reply(Category.DRAVIDIAN, "kn", False),
+        "???": Reply(Category.OTHER, "other", True),
+    }
+    assert list(table) == ["en", "Kannada.", "???"]
 
 
 def test_strict_names_the_first_unparseable_token_after_repeats():
     words = ["mane", "mane", "hello", "mane", "zzq", "qqz"]
     replies = ["kn", "kn", "en", "kn", "no idea", "no idea"]
-    from_cache = [False, True, False, True, False, False]
     with pytest.raises(UnparseableResponseError, match="'zzq'"):
-        resolve_predictions(words, replies, from_cache, KN, "strict")
+        resolve_predictions(words, replies, KN, "strict")
 
 
 class _EchoTransport:
@@ -188,35 +180,36 @@ class TestManifestCountsTokens:
     config = ExperimentConfig(task=KN, temperature=0.7)
 
     def test_baseline_has_no_cache_hits(self):
-        manifest = run_experiment(self.ds, self.config, BaselineBackend()).manifest
-        assert manifest.cache_hits == 0
-        assert manifest.token_count == len(WORDS)
+        result = run_experiment(self.ds, self.config, BaselineBackend())
+        assert result.cache_hits == 0
+        assert result.token_count == len(WORDS)
 
     def test_replay_counts_every_token_as_a_hit(self):
         records = [
             make_record(self.config.model_id, 0.7, render_prompt(w, KN), "en")
             for w in set(WORDS)
         ]
-        manifest = run_experiment(self.ds, self.config, replay_of(records)).manifest
-        assert manifest.cache_hits == len(WORDS)
+        result = run_experiment(self.ds, self.config, replay_of(records))
+        assert result.cache_hits == len(WORDS)
 
     def test_live_counts_later_occurrences_of_a_miss_as_hits(self):
         transport = _EchoTransport()
         backend = LiveBackend(ResponseCache(None), transport, max_workers=1)
-        manifest = run_experiment(self.ds, self.config, backend).manifest
+        result = run_experiment(self.ds, self.config, backend)
         assert transport.requests == len(set(WORDS))
-        assert manifest.cache_hits == len(WORDS) - len(set(WORDS))
+        assert result.cache_hits == len(WORDS) - len(set(WORDS))
 
 
-def reference_jsonl(predictions):
+def reference_jsonl(rows):
+    """Predictions file text of (word, reply, code) rows, one json.dumps per row."""
     return "".join(
         json.dumps(
-            {"word": p.word, "raw_response": p.raw_response, "category_code": p.category_code},
+            {"word": word, "raw_response": reply, "category_code": code},
             ensure_ascii=False,
             sort_keys=True,
         )
         + "\n"
-        for p in predictions
+        for word, reply, code in rows
     )
 
 
@@ -231,33 +224,38 @@ _TEXT = st.text(
 
 
 @st.composite
-def predictions_and_index(draw):
-    """Resolved replies, some of them codes, and a token index into them, with repeats."""
+def runs(draw) -> RunResult:
+    """A run over drawn distinct-word columns, some replies codes, and a
+    token index into them, with repeats."""
     pool = draw(
         st.lists(
             st.tuples(
                 _TEXT.filter(str.strip),
                 st.one_of(_TEXT, st.sampled_from([*valid_codes(KN), "Kannada."])),
-                st.booleans(),
             ),
             min_size=1,
             max_size=5,
         )
     )
     index = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=20))
-    return resolve_predictions(*map(list, zip(*pool)), KN), index
+    words, replies = map(list, zip(*pool))
+    return RunResult(
+        config=ExperimentConfig(task=KN), corpus_path="", backend_kind="replay",
+        failure_policy="map_to_other", started_at="", finished_at="",
+        words=words, replies=replies, table=resolve_predictions(words, replies, KN),
+        index=array("I", index), cache_hits=0, unparseable_count=0,
+    )
 
 
-@given(pool_and_index=predictions_and_index())
-def test_jsonl_round_trip_matches_per_token_reference(pool_and_index, tmp_path_factory):
-    pool, index = pool_and_index
-    predictions = [pool[i] for i in index]
+@given(run=runs())
+def test_jsonl_round_trip_matches_per_token_reference(run, tmp_path_factory):
+    rows = [(run.words[i], run.replies[i], run.table[run.replies[i]].code) for i in run.index]
     out = io.BytesIO()
-    write_predictions(pool, index, out)
-    assert out.getvalue() == reference_jsonl(predictions).encode("utf-8")
+    write_predictions(run, out)
+    assert out.getvalue() == reference_jsonl(rows).encode("utf-8")
 
     path = tmp_path_factory.mktemp("jsonl") / "predictions.jsonl"
     path.write_bytes(out.getvalue())
     words, categories = read_predictions_jsonl(path, KN)
-    assert words == [p.word for p in predictions]
-    assert categories == [p.category for p in predictions]
+    assert words == [word for word, _, _ in rows]
+    assert categories == list(run.predictions)

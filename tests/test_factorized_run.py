@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from conftest import replay_of
 from dravlid.backends import BaselineBackend, LiveBackend
 from dravlid.cache import ResponseCache, make_record
-from dravlid.classifiers import LLMClassifier, resolve_predictions
+from dravlid.classifiers import LLMClassifier, WordPrediction, resolve_predictions
 from dravlid.cli import main
 from dravlid.corpus import Dataset, compute_stats, parse_corpus
 from dravlid.errors import UnparseableResponseError
@@ -72,9 +72,9 @@ def make_backend(kind, words, config):
 
 def reference_prediction(word, config, backend, policy):
     """The prediction for one word from a backend call of its own."""
-    replies, hits = backend.classify_words([word], config)
-    (p,) = resolve_predictions([word], replies, hits, config.task, policy)
-    return p
+    (reply,), (hit,) = backend.classify_words([word], config)
+    category, code, unparseable = resolve_predictions([word], [reply], config.task, policy)[reply]
+    return WordPrediction(word, reply, category, code, hit, unparseable)
 
 
 def reference_run(ds, config, backend, policy):
@@ -145,8 +145,7 @@ def test_run_write_and_evaluate_match_a_per_token_reference(
     write_predictions_jsonl(result, path)
     assert path.read_bytes() == predictions_bytes
     assert list(result.predictions) == categories
-    manifest = result.manifest
-    assert (manifest.token_count, manifest.cache_hits, manifest.unparseable_count) == (
+    assert (result.token_count, result.cache_hits, result.unparseable_count) == (
         len(ds), hits, unparseable,
     )
     if kind == "live":
@@ -244,14 +243,14 @@ def test_sweep_matches_a_per_token_reference(corpus, policy, macro, tmp_path_fac
         lines, categories = [], []
         try:
             for word in ds.surfaces():
-                (p,) = resolve_predictions(
-                    [word], [reply_at(word, config.temperature)], [True], task, policy
-                )
+                reply = reply_at(word, config.temperature)
+                category, wire_code, unparseable = resolve_predictions(
+                    [word], [reply], task, policy
+                )[reply]
                 lines.append(json.dumps(
-                    {"word": p.word, "raw_response": p.raw_response,
-                     "category_code": p.category_code},
+                    {"word": word, "raw_response": reply, "category_code": wire_code},
                     ensure_ascii=False, sort_keys=True) + "\n")
-                categories.append((p.category, p.unparseable))
+                categories.append((category, unparseable))
         except UnparseableResponseError as exc:
             # Strict stops the sweep at the first unparseable token in corpus order.
             assert (code, stderr.getvalue()) == (2, f"dravlid: data error: {exc}\n")
@@ -304,7 +303,7 @@ class TestFactorization:
         backend = Recording()
         result = run_experiment(ds, ExperimentConfig(task=KN), backend)
         assert backend.asked == ["a", "b", "c"]
-        assert [p.word for p in result.distinct] == ["a", "b", "c"]
+        assert list(result.words) == ["a", "b", "c"]
 
 
 def test_writing_a_large_run_peaks_below_a_third_of_the_file(tmp_path):

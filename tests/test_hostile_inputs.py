@@ -120,6 +120,9 @@ HOSTILE_VALUES = [
 ]
 SURROGATES = ['"\\ud800"', '"The word is \\udc80."']  # lone surrogate escapes
 HOSTILE_JSON = st.sampled_from([*HOSTILE_VALUES, "[]", "1", '"x"', *SURROGATES])
+# What may stand for one value of a checkpoint: JSON equal to an int but not
+# one, which a field that must be an int refuses too.
+CHECKPOINT_VALUES = [*HOSTILE_VALUES, "true", "1.0"]
 HOSTILE_BYTES = st.sampled_from([b"\xff", b"\xc3", b"\r"])  # not UTF-8, a lone CR
 THREE_WORDS = "hello\ten\nmane\tkn\nbook\ten\n"
 THREE_RECORDS = "".join(
@@ -174,7 +177,7 @@ def hostile_checkpoints(draw, doc: dict) -> bytes:
         return text[:at] + draw(st.sampled_from([b"\xff", b"\xc3"])) + text[at:]
     where = draw(st.sampled_from(CHECKPOINT_PLACES))
     reply = where == ("groups", 0, 3, 2)
-    value = draw(st.sampled_from(HOSTILE_VALUES + SURROGATES if reply else HOSTILE_VALUES))
+    value = draw(st.sampled_from(CHECKPOINT_VALUES + SURROGATES if reply else CHECKPOINT_VALUES))
     return with_value(doc, where, value).encode("utf-8")
 
 

@@ -45,7 +45,7 @@ class TestRunExperiment:
             Category.DRAVIDIAN,
             Category.OTHER,
         ]
-        assert result.manifest.unparseable_count == 1
+        assert result.unparseable_count == 1
 
     def test_three_token_strict_aborts_naming_word(self):
         ds, config, backend = three_token_setup()
@@ -58,15 +58,15 @@ class TestRunExperiment:
         first = run_experiment(ds, config, BaselineBackend())
         second = run_experiment(ds, config, BaselineBackend())
         assert first.predictions == second.predictions
-        assert first.manifest.cache_hits == 0
-        assert first.manifest.backend_kind == "baseline"
+        assert first.cache_hits == 0
+        assert first.backend_kind == "baseline"
 
     def test_one_prediction_per_token_in_order(self):
         ds = parse_corpus_file(smoke_corpus_path(TM), TM)
         backend = ReplayBackend.from_jsonl(replay_fixture_path(TM))
         result = run_experiment(ds, ExperimentConfig(task=TM), backend)
         assert len(result.predictions) == len(ds)
-        assert [result.distinct[i].word for i in result.index] == ds.surfaces()
+        assert [result.words[i] for i in result.index] == ds.surfaces()
 
     def test_empty_dataset_rejected(self):
         ds = parse_corpus("\n", KN)
@@ -85,21 +85,20 @@ class TestManifest:
         return run_experiment(ds, config, backend)
 
     def test_timestamps_ordered(self):
-        manifest = self.make_result().manifest
-        assert manifest.finished_at >= manifest.started_at
-        assert manifest.started_at.endswith("Z")
+        result = self.make_result()
+        assert result.finished_at >= result.started_at
+        assert result.started_at.endswith("Z")
 
     def test_counts_bounded_by_dataset(self):
-        manifest = self.make_result().manifest
-        assert 0 <= manifest.unparseable_count <= manifest.token_count
-        assert 0 <= manifest.cache_hits <= manifest.token_count
+        result = self.make_result()
+        assert 0 <= result.unparseable_count <= result.token_count
+        assert 0 <= result.cache_hits <= result.token_count
 
     def test_replay_answers_count_as_cache_hits(self):
-        manifest = self.make_result().manifest
-        assert manifest.cache_hits == 3
+        assert self.make_result().cache_hits == 3
 
     def test_dict_shape(self):
-        data = self.make_result().manifest.to_dict()
+        data = json.loads(self.make_result().manifest_json())
         for key in (
             "run_label",
             "task",
@@ -122,8 +121,7 @@ class TestManifest:
         assert data["message_format"] == "single-user"
 
     def test_json_parses(self):
-        manifest = self.make_result().manifest
-        assert json.loads(manifest.to_json())["temperature"] == 0.7
+        assert json.loads(self.make_result().manifest_json())["temperature"] == 0.7
 
 
 class TestEvaluateRun:
@@ -193,7 +191,7 @@ class TestSweep:
         backend = ReplayBackend.from_jsonl(replay_fixture_path(KN))
         configs = sweep_configs(KN, "gpt-3.5-turbo")
         results = [run_experiment(ds, config, backend) for config in configs]
-        assert [r.manifest.config.temperature for r in results] == [0.7, 0.8, 0.9]
+        assert [r.config.temperature for r in results] == [0.7, 0.8, 0.9]
         # Higher fixture temperatures answer with more mistakes.
         scores = [
             evaluate_run(ds, r.predictions).accuracy for r in results
@@ -217,7 +215,7 @@ class TestPredictionsFile:
         ds, config, backend = three_token_setup()
         result = run_experiment(ds, config, backend)
         out = io.BytesIO()
-        write_predictions(result.distinct, result.index, out)
+        write_predictions(result, out)
         for line in out.getvalue().splitlines():
             assert set(json.loads(line)) == {"word", "raw_response", "category_code"}
 
