@@ -11,7 +11,8 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
-from dravlid.corpus import read_text
+from dravlid.corpus import naming_bad_bytes, read_text
+from dravlid.errors import CorpusParseError
 from dravlid.taxonomy import Category, TaskLanguage
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -42,10 +43,12 @@ class LexiconSet:
 
 def load_wordlist(path: str | Path) -> list[str]:
     """One entry per line, UTF-8 (a leading BOM is dropped), '#' comments and
-    blank lines skipped. Lines end at '\\n' only, as corpus lines do."""
+    blank lines skipped. Lines end at '\\n' only, as corpus lines do. A byte
+    that is not UTF-8 is a ValueError naming the file and its line."""
     try:
-        text = read_text(path)
-    except UnicodeDecodeError as exc:
+        with naming_bad_bytes(path):
+            text = read_text(path)
+    except (UnicodeDecodeError, CorpusParseError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     entries = (line.strip() for line in text.split("\n"))
     return [entry for entry in entries if entry and not entry.startswith("#")]

@@ -1,7 +1,8 @@
 """Estimator-style classifier API, and the reply table every run reads.
 
 `resolve_predictions` normalizes each distinct reply once, into the reply
-table that a run and the estimators read their categories from.
+table that a run and the estimators read their categories from: each reply
+to its `NormalizationOutcome` (category, wire code, ok).
 
 Both classifiers follow scikit-learn conventions (constructor params stored
 verbatim, get_params/set_params, a no-op fit returning self) so they drop
@@ -14,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from dravlid.backends import Backend, BaselineBackend, LiveBackend
 from dravlid.baseline import LexiconSet
@@ -27,8 +28,8 @@ from dravlid.prompting import (
 )
 from dravlid.taxonomy import (
     Category,
+    NormalizationOutcome,
     TaskLanguage,
-    code_for,
     normalize_response,
     parse_task,
 )
@@ -72,35 +73,23 @@ class WordPrediction:
     unparseable: bool
 
 
-class Reply(NamedTuple):
-    """What one distinct reply resolves to under a task."""
-
-    category: Category
-    code: str
-    unparseable: bool
-
-
 def resolve_predictions(
     words: Sequence[str],
     replies: list[str],
     task: TaskLanguage,
     failure_policy: str = "map_to_other",
-) -> dict[str, Reply]:
+) -> dict[str, NormalizationOutcome]:
     """Normalize a backend's replies to words into a reply table: each
-    distinct reply, normalized once, to its Reply.
+    distinct reply, normalized once, to its outcome.
 
-    map_to_other turns unrecognizable replies into Other (flagged); strict
+    map_to_other keeps an unrecognizable reply as Other, not ok; strict
     raises on the first one in input order, naming the word and the raw
     reply.
     """
     check_policy(failure_policy)
-    table: dict[str, Reply] = {}
-    for reply in dict.fromkeys(replies):
-        outcome = normalize_response(reply, task)
-        category = outcome.category if outcome.ok else Category.OTHER
-        table[reply] = Reply(category, code_for(category, task), not outcome.ok)
-    if failure_policy == "strict" and any(map(attrgetter("unparseable"), table.values())):
-        i = next(i for i, reply in enumerate(replies) if table[reply].unparseable)
+    table = {reply: normalize_response(reply, task) for reply in dict.fromkeys(replies)}
+    if failure_policy == "strict" and not all(map(attrgetter("ok"), table.values())):
+        i = next(i for i, reply in enumerate(replies) if not table[reply].ok)
         raise UnparseableResponseError(
             f"could not map reply for word {words[i]!r} to a category "
             f"(raw reply: {replies[i]!r})"
@@ -165,9 +154,9 @@ class BaseWordClassifier:
         for i in ds.index:
             repeat = i < seen
             seen += not repeat
-            category, code, unparseable = table[replies[i]]
+            category, code, ok = table[replies[i]]
             predictions.append(WordPrediction(
-                ds.words[i], replies[i], category, code, hits[i] or (live and repeat), unparseable
+                ds.words[i], replies[i], category, code, hits[i] or (live and repeat), not ok
             ))
         return predictions
 

@@ -20,12 +20,12 @@ from typing import BinaryIO, Sequence
 
 from dravlid.backends import Backend, LiveBackend
 from dravlid.cache import utc_now_rfc3339
-from dravlid.classifiers import Reply, check_policy, resolve_predictions
+from dravlid.classifiers import check_policy, resolve_predictions
 from dravlid.corpus import SKIP, Dataset, naming_bad_bytes, read_lines
 from dravlid.errors import CorpusParseError, UnknownLabelCodeError
 from dravlid.metrics import MetricReport, count_pairs, count_pairs_by_word, evaluate
 from dravlid.prompting import ExperimentConfig
-from dravlid.taxonomy import Category, TaskLanguage, parse_gold_label
+from dravlid.taxonomy import Category, NormalizationOutcome, TaskLanguage, parse_gold_label
 
 # Sorted keys, json.dumps's default separators; each %s takes an encoded
 # string. A line is the head of its reply, then its word and the tail.
@@ -42,7 +42,8 @@ _raw_decode = json.JSONDecoder().raw_decode
 @dataclass(frozen=True)
 class RunResult:
     """One run over a dataset: how it was made, a reply per entry of
-    `ds.words`, `ds.index` to map tokens to them, and token counts."""
+    `ds.words`, the reply table of their outcomes, `ds.index` to map tokens
+    to them, and token counts."""
 
     config: ExperimentConfig
     corpus_path: str
@@ -52,7 +53,7 @@ class RunResult:
     finished_at: str
     words: Sequence[str]
     replies: list[str]
-    table: dict[str, Reply]
+    table: dict[str, NormalizationOutcome]
     index: array
     cache_hits: int
     unparseable_count: int
@@ -105,7 +106,7 @@ def run_experiment(
     table = resolve_predictions(ds.words, replies, config.task, failure_policy)
     finished_at = utc_now_rfc3339()
 
-    unparseable = [table[reply].unparseable for reply in replies]
+    unparseable = [not table[reply].ok for reply in replies]
     return RunResult(
         config=config, corpus_path=ds.source_path, backend_kind=backend.kind,
         failure_policy=failure_policy, started_at=started_at, finished_at=finished_at,

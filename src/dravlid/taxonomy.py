@@ -7,8 +7,8 @@ Seven categories are shared by both tasks; the wire codes differ per task
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from dravlid.errors import UnknownLabelCodeError
 
@@ -122,34 +122,13 @@ def parse_gold_label(code: str, task: TaskLanguage) -> Category:
         ) from None
 
 
-@dataclass(frozen=True)
-class NormalizationOutcome:
-    """Result of mapping a raw model reply to a category.
+class NormalizationOutcome(NamedTuple):
+    """What a reply means under a task: its category, that category's wire
+    code, and whether a rule matched. A row of a run's reply table."""
 
-    Exactly one of (category, matched_code) and failure_reason is populated.
-    """
-
-    category: Category | None
-    matched_code: str | None
-    failure_reason: str | None
-
-    def __post_init__(self) -> None:
-        succeeded = self.category is not None and self.matched_code is not None
-        failed = self.failure_reason is not None
-        if succeeded == failed:
-            raise ValueError("outcome must be exactly one of success or failure")
-
-    @property
-    def ok(self) -> bool:
-        return self.failure_reason is None
-
-    @classmethod
-    def success(cls, category: Category, matched_code: str) -> "NormalizationOutcome":
-        return cls(category=category, matched_code=matched_code, failure_reason=None)
-
-    @classmethod
-    def failure(cls, reason: str) -> "NormalizationOutcome":
-        return cls(category=None, matched_code=None, failure_reason=reason)
+    category: Category
+    code: str
+    ok: bool
 
 
 def normalize_response(raw: str, task: TaskLanguage) -> NormalizationOutcome:
@@ -161,21 +140,21 @@ def normalize_response(raw: str, task: TaskLanguage) -> NormalizationOutcome:
       3. scan whitespace tokens left to right for the first one that equals
          a valid code (each token stripped of the same punctuation);
       4. scan tokens for the first full category name in English and map it;
-      5. otherwise fail with reason "unrecognized".
+      5. otherwise Other, not ok.
     """
     table = _REVERSE_TABLES[task]
     remainder = raw.lower().strip(_STRIP_CHARS)
 
     if remainder in table:
-        return NormalizationOutcome.success(table[remainder], remainder)
+        return NormalizationOutcome(table[remainder], remainder, True)
 
     tokens = [tok.strip(_STRIP_CHARS) for tok in remainder.split()]
     for tok in tokens:
         if tok in table:
-            return NormalizationOutcome.success(table[tok], tok)
+            return NormalizationOutcome(table[tok], tok, True)
     for tok in tokens:
         if tok in _CATEGORY_NAMES:
             cat = _CATEGORY_NAMES[tok]
-            return NormalizationOutcome.success(cat, code_for(cat, task))
+            return NormalizationOutcome(cat, code_for(cat, task), True)
 
-    return NormalizationOutcome.failure("unrecognized")
+    return NormalizationOutcome(Category.OTHER, code_for(Category.OTHER, task), False)

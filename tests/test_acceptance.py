@@ -174,11 +174,11 @@ def test_criterion_5_normalization_total_idempotent_and_code_complete():
         for raw in samples:
             outcome = normalize_response(raw, task)  # must never raise
             if outcome.ok:
-                again = normalize_response(outcome.matched_code, task)
+                again = normalize_response(outcome.code, task)
                 assert again.ok
                 assert again.category is outcome.category
             else:
-                assert outcome.failure_reason
+                assert outcome == (Category.OTHER, code_for(Category.OTHER, task), False)
 
     def mixed_case(text: str) -> str:
         return "".join(

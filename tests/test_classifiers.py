@@ -5,7 +5,6 @@ import pytest
 from dravlid.backends import BaselineBackend, ReplayBackend
 from dravlid.classifiers import (
     LLMClassifier,
-    Reply,
     RuleBasedClassifier,
     WordPrediction,
     check_policy,
@@ -15,7 +14,7 @@ from dravlid.classifiers import (
 from dravlid.corpus import parse_corpus
 from dravlid.errors import UnparseableResponseError
 from dravlid.fixtures import replay_fixture_path
-from dravlid.taxonomy import Category, TaskLanguage
+from dravlid.taxonomy import Category, NormalizationOutcome, TaskLanguage
 
 KN = TaskLanguage.KANNADA
 
@@ -66,9 +65,9 @@ class TestResolvePredictions:
             *columns(("a", "en"), ("b", "kn"), ("c", "???")), KN, "map_to_other"
         )
         assert table == {
-            "en": Reply(Category.ENGLISH, "en", False),
-            "kn": Reply(Category.DRAVIDIAN, "kn", False),
-            "???": Reply(Category.OTHER, "other", True),
+            "en": NormalizationOutcome(Category.ENGLISH, "en", True),
+            "kn": NormalizationOutcome(Category.DRAVIDIAN, "kn", True),
+            "???": NormalizationOutcome(Category.OTHER, "other", False),
         }
 
     def test_strict_raises_naming_word_and_reply(self):

@@ -1010,6 +1010,16 @@ class TestSweepAndReport:
         assert code == 1
         assert "sweep temperatures repeat" in capsys.readouterr().err
 
+    def test_temperature_list_of_no_value_is_usage_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.tsv")
+        code = main(["sweep", missing, "--task", "kn", "--backend", "baseline",
+                     "--temperatures", ","])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "dravlid sweep: error: argument --temperatures: at least one temperature is required"
+        ]
+
 
 def test_console_script_entry_point():
     proc = subprocess.run(

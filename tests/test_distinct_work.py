@@ -23,7 +23,7 @@ from dravlid.backends import BaselineBackend, LiveBackend
 from conftest import replay_of, token_rows
 from dravlid.baseline import classify_baseline, default_lexicons
 from dravlid.cache import ResponseCache, make_record
-from dravlid.classifiers import Reply, RuleBasedClassifier, resolve_predictions
+from dravlid.classifiers import RuleBasedClassifier, resolve_predictions
 from dravlid.corpus import parse_corpus
 from dravlid.errors import UnparseableResponseError
 from dravlid.prompting import ExperimentConfig, render_prompt
@@ -33,7 +33,9 @@ from dravlid.runner import (
     run_experiment,
     write_predictions,
 )
-from dravlid.taxonomy import Category, TaskLanguage, code_for, parse_gold_label, valid_codes
+from dravlid.taxonomy import (
+    Category, NormalizationOutcome, TaskLanguage, code_for, parse_gold_label, valid_codes,
+)
 
 KN = TaskLanguage.KANNADA
 WORDS = ["mane", "hello", "mane", "Bengaluru", "hello", "mane", "123", "illi"]
@@ -150,9 +152,9 @@ def test_resolve_normalizes_each_distinct_reply_once(monkeypatch):
     assert sorted(args[0] for args in calls) == ["???", "Kannada.", "en"]
     # One row per distinct reply, in first-occurrence order.
     assert table == {
-        "en": Reply(Category.ENGLISH, "en", False),
-        "Kannada.": Reply(Category.DRAVIDIAN, "kn", False),
-        "???": Reply(Category.OTHER, "other", True),
+        "en": NormalizationOutcome(Category.ENGLISH, "en", True),
+        "Kannada.": NormalizationOutcome(Category.DRAVIDIAN, "kn", True),
+        "???": NormalizationOutcome(Category.OTHER, "other", False),
     }
     assert list(table) == ["en", "Kannada.", "???"]
 

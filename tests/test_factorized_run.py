@@ -73,8 +73,8 @@ def make_backend(kind, words, config):
 def reference_prediction(word, config, backend, policy):
     """The prediction for one word from a backend call of its own."""
     (reply,), (hit,) = backend.classify_words([word], config)
-    category, code, unparseable = resolve_predictions([word], [reply], config.task, policy)[reply]
-    return WordPrediction(word, reply, category, code, hit, unparseable)
+    category, code, ok = resolve_predictions([word], [reply], config.task, policy)[reply]
+    return WordPrediction(word, reply, category, code, hit, not ok)
 
 
 def reference_run(ds, config, backend, policy):
@@ -244,13 +244,13 @@ def test_sweep_matches_a_per_token_reference(corpus, policy, macro, tmp_path_fac
         try:
             for word in ds.surfaces():
                 reply = reply_at(word, config.temperature)
-                category, wire_code, unparseable = resolve_predictions(
+                category, wire_code, ok = resolve_predictions(
                     [word], [reply], task, policy
                 )[reply]
                 lines.append(json.dumps(
                     {"word": word, "raw_response": reply, "category_code": wire_code},
                     ensure_ascii=False, sort_keys=True) + "\n")
-                categories.append((category, unparseable))
+                categories.append((category, not ok))
         except UnparseableResponseError as exc:
             # Strict stops the sweep at the first unparseable token in corpus order.
             assert (code, stderr.getvalue()) == (2, f"dravlid: data error: {exc}\n")

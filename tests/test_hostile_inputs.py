@@ -395,12 +395,14 @@ class TestBytesNotUtf8:
         lexicons.mkdir()
         for name in ("english_words", "stems", "locations", "suffixes"):
             write(lexicons / f"{name}.txt", "entry\n")
-        names = with_bad_byte(lexicons / "names.txt", "Rama\n", 1)
+        text = "".join(f"Name{i}\n" for i in range(60))
+        names = with_bad_byte(lexicons / "names.txt", text, 45)
+        offset = Path(names).read_bytes().index(b"\xff")
         corpus = write(tmp_path / "c.tsv", "hello\ten\n")
         assert main(["classify", corpus, "--task", "kn", "--backend", "baseline",
                      "--lexicon-dir", str(lexicons)]) == 2
-        one_error_line(capsys, f"dravlid: data error: {names}: 'utf-8' codec can't "
-                       "decode byte 0xff in position 2: invalid start byte")
+        one_error_line(capsys, f"dravlid: data error: {names}: line 45: 'utf-8' codec can't "
+                       f"decode byte 0xff in position {offset}: invalid start byte")
 
 
 class TestLoneCarriageReturn:

@@ -14,6 +14,7 @@ from dravlid.metrics import (
     count_pairs,
     evaluate,
     per_class_metrics,
+    report_dicts_to_markdown,
     report_to_json,
     report_to_markdown,
     reports_to_markdown,
@@ -219,6 +220,10 @@ class TestRendering:
         ]
         assert "| Macro F1 | 0.6667 |" in lines
         assert "| Weighted Precision | 0.8333 |" in lines
+
+    def test_no_reports_rejected(self):
+        with pytest.raises(ValueError, match="no reports to render"):
+            report_dicts_to_markdown([])
 
     def test_multi_run_columns(self):
         other = evaluate(count_pairs([A, B], [A, B]), run_label="clean")

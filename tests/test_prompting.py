@@ -128,3 +128,7 @@ class TestSweepConfigs:
         configs = sweep_configs(KN, "m", temperatures=(1.5, 0.2))
         assert [c.temperature for c in configs] == [1.5, 0.2]
         assert all(c.model_id == "m" for c in configs)
+
+    def test_no_temperatures_rejected(self):
+        with pytest.raises(ValueError, match="temperatures must be non-empty"):
+            sweep_configs(KN, "m", [])

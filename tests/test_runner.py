@@ -159,6 +159,12 @@ class TestEvaluateRun:
         with pytest.raises(ValueError, match="1"):
             evaluate_run(ds, [Category.ENGLISH, Category.ENGLISH])
 
+    def test_run_of_another_dataset_rejected(self):
+        ds, config, backend = three_token_setup()
+        result = run_experiment(ds, config, backend)
+        with pytest.raises(ValueError, match="the run is not of this dataset"):
+            evaluate_run(parse_corpus("x\tkn\n", KN), result)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("task", [KN, TM])

@@ -95,7 +95,7 @@ class TestNormalizeExamples:
         outcome = normalize_response("kn", KN)
         assert outcome.ok
         assert outcome.category is Category.DRAVIDIAN
-        assert outcome.matched_code == "kn"
+        assert outcome.code == "kn"
 
     def test_code_inside_sentence_after_punctuation(self):
         outcome = normalize_response("The word is in the category: en.", KN)
@@ -104,9 +104,7 @@ class TestNormalizeExamples:
 
     def test_unrecognized(self):
         outcome = normalize_response("I cannot determine this", KN)
-        assert not outcome.ok
-        assert outcome.failure_reason == "unrecognized"
-        assert outcome.category is None
+        assert outcome == (Category.OTHER, "other", False)
 
     def test_surrounding_junk_stripped(self):
         assert normalize_response(' "EN." ', KN).category is Category.ENGLISH
@@ -139,7 +137,7 @@ class TestNormalizeExamples:
         assert normalize_response("mixed", TM).category is Category.MIXED
 
     def test_empty_string_fails_cleanly(self):
-        assert normalize_response("", KN).failure_reason == "unrecognized"
+        assert normalize_response("", KN) == (Category.OTHER, "other", False)
 
 
 class TestNormalizeProperties:
@@ -148,22 +146,22 @@ class TestNormalizeProperties:
         for task in BOTH_TASKS:
             outcome = normalize_response(raw, task)
             assert isinstance(outcome, NormalizationOutcome)
-            assert outcome.ok == (outcome.failure_reason is None)
+            assert outcome.code == code_for(outcome.category, task)
+            assert outcome.ok or outcome.category is Category.OTHER
 
     @given(st.text(alphabet=st.characters(codec="ascii"), max_size=60))
     def test_case_insensitive_on_ascii(self, raw):
         for task in BOTH_TASKS:
             upper = normalize_response(raw.upper(), task)
             base = normalize_response(raw, task)
-            assert upper.category == base.category
-            assert upper.failure_reason == base.failure_reason
+            assert upper == base
 
     @pytest.mark.parametrize("task", BOTH_TASKS)
     def test_idempotence_over_all_codes(self, task):
         for code in valid_codes(task):
             first = normalize_response(code, task)
             assert first.ok
-            again = normalize_response(first.matched_code, task)
+            again = normalize_response(first.code, task)
             assert again.ok
             assert again.category is first.category
 
@@ -181,16 +179,7 @@ class TestNormalizeProperties:
         for task in BOTH_TASKS:
             outcome = normalize_response(raw, task)
             if outcome.ok:
-                again = normalize_response(outcome.matched_code, task)
+                again = normalize_response(outcome.code, task)
                 assert again.ok
                 assert again.category is outcome.category
 
-
-class TestOutcomeInvariant:
-    def test_cannot_build_half_populated(self):
-        with pytest.raises(ValueError):
-            NormalizationOutcome(category=Category.OTHER, matched_code=None, failure_reason=None)
-        with pytest.raises(ValueError):
-            NormalizationOutcome(
-                category=Category.OTHER, matched_code="other", failure_reason="x"
-            )

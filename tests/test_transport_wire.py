@@ -18,7 +18,7 @@ import threading
 import pytest
 from stub_server import content_reply
 
-from dravlid.errors import TransportError
+from dravlid.errors import ResponseFormatError, TransportError
 from dravlid.prompting import render_prompt
 from dravlid.taxonomy import TaskLanguage
 from dravlid.transport import ChatRequest, ChatTransport, RetryPolicy
@@ -224,6 +224,15 @@ FRAMING = {
     "101-headers": ([(reply(LENGTH, *[b"X-%d: 1" % i for i in range(100)]), False)],
                     "got more than 100 headers", 1),
     "body-cut-short": ([(reply(b"Content-Length: 99"), True)], "IncompleteRead", 1),
+    # int(size, 16) alone would take "0x5" as 5 and "-5" as -5.
+    "chunk-size-0x": (
+        [(reply(b"Transfer-Encoding: chunked", body=CHUNKS.replace(b"5;name=value", b"0x5", 1)),
+          False)], "bad chunk size: b'0x5'", 1),
+    "chunk-size-negative": ([(reply(b"Transfer-Encoding: chunked", body=b"-5\r\n"), False)],
+                            "bad chunk size: b'-5'", 1),
+    "chunk-data-then-no-crlf": (
+        [(reply(b"Transfer-Encoding: chunked", body=b"5\r\n" + BODY[:5] + b"XX\r\n0\r\n\r\n"),
+          False)], "chunk data not followed by CRLF", 1),
     "closed-before-a-reply": ([(b"", True)], "Remote end closed connection", 1),
 }
 
@@ -243,3 +252,21 @@ def test_framing(case):
                 assert outcome in str(failed.value)
                 assert transport._idle == []  # closed, not kept
     assert server.connections == connections
+
+
+@pytest.mark.parametrize("status, headers, error, match", [
+    (b"HTTP/1.1 204 No Content", (), ResponseFormatError, "not valid JSON"),
+    (b"HTTP/1.1 304 Not Modified", (LENGTH,), TransportError, "returned 304"),
+], ids=["204", "304"])
+def test_a_reply_that_has_no_body_leaves_the_connection_for_the_next(
+        status, headers, error, match):
+    """A 204 or 304 ends at its head, whatever its Content-Length says;
+    read for a body, it would wait out the timeout."""
+    with RawServer([(head_of(status, *headers), False)]) as server:
+        transport = ChatTransport(base_url=f"http://127.0.0.1:{server.port}", api_key="k",
+                                  retry=RetryPolicy(max_attempts=1), timeout=5)
+        with transport:
+            with pytest.raises(error, match=match):
+                transport.complete(REQUEST)
+            assert transport.complete(REQUEST) == "en"
+    assert server.connections == 1
