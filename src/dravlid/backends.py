@@ -15,7 +15,6 @@ and never an append.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -90,6 +89,8 @@ class LiveBackend:
         hits = [reply is not None for reply in replies]
 
         if len(misses) > 1 and self.max_workers > 1:
+            from concurrent.futures import ThreadPoolExecutor  # only a pooled live run needs it
+
             with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
                 answers = list(pool.map(lambda m: self._miss(*m[1:], config), misses))
         else:

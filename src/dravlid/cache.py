@@ -29,12 +29,12 @@ import json
 import logging
 import os
 import threading
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 from dravlid.errors import CacheReadError, CacheWriteError
 
@@ -352,8 +352,8 @@ def _write_checkpoint(
     path: Path, groups: dict, covers: int, lines: int, sha256: str
 ) -> None:
     """Save the reply groups as the checkpoint of path's first `covers`
-    bytes, through a temp file and os.replace. One that cannot be written
-    only leaves the next load slower."""
+    bytes, through replacing(). One that cannot be written only leaves the
+    next load slower."""
     doc = {
         "version": _CHECKPOINT_VERSION,
         "bytes": covers,
@@ -362,11 +362,29 @@ def _write_checkpoint(
         "groups": [[*request, list(replies), list(replies.values())]
                    for request, replies in groups.items()],
     }
-    target = _checkpoint_path(path)
-    temp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    with suppress(OSError), replacing(_checkpoint_path(path)) as out:
+        out.write(json.dumps(doc, separators=(",", ":")).encode("utf-8"))
+
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file whose bytes land at path only when the block ends: it
+    is the sibling PATH.<pid>.tmp, which os.replace then moves onto path and
+    any exception removes. A path that exists and is not itself a regular
+    file (a symlink such as /dev/stdout, a FIFO) is written in place."""
+    path = Path(path)
+    if path.is_symlink() or path.exists() and not path.is_file():
+        with path.open("wb") as out:
+            yield out
+        return
+    temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        temp.write_text(json.dumps(doc, separators=(",", ":")), encoding="utf-8")
-        os.replace(temp, target)
-    except OSError:
+        with temp.open("wb") as out:
+            yield out
+        os.replace(temp, path)
+    except BaseException as exc:
         with suppress(OSError):
             temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(temp):
+            exc.filename = str(path)  # name the file asked for, not its temp
+        raise

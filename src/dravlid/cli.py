@@ -25,7 +25,7 @@ from dravlid.backends import (
     check_max_workers,
 )
 from dravlid.baseline import lexicons_from_dir
-from dravlid.cache import ResponseCache
+from dravlid.cache import ResponseCache, replacing
 from dravlid.classifiers import FAILURE_POLICIES
 from dravlid.corpus import (
     Dataset,
@@ -227,7 +227,13 @@ def _session(args: argparse.Namespace):
 
 def _write_run(result, predictions_path, manifest_path) -> None:
     write_predictions_jsonl(result, predictions_path)
-    Path(manifest_path).write_text(result.manifest_json(), encoding="utf-8")
+    _write_text(manifest_path, result.manifest_json())  # last: it vouches for the run
+
+
+def _write_text(path, text: str) -> None:
+    """Write text to path as UTF-8 through replacing(): never half-written."""
+    with replacing(path) as out:
+        out.write(text.encode("utf-8"))
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -300,7 +306,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         report_to_json(report) if args.format == "json" else report_to_markdown(report)
     )
     if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
+        _write_text(args.out, rendered)
     else:
         sys.stdout.write(rendered)
     return EXIT_OK
@@ -326,9 +332,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if has_gold:
                 report = evaluate_run(ds, result, run_label=label, macro_convention=args.macro)
                 if out_dir is not None:
-                    (out_dir / f"{label}.report.json").write_text(
-                        report_to_json(report), encoding="utf-8"
-                    )
+                    _write_text(out_dir / f"{label}.report.json", report_to_json(report))
                 reports.append(report)
 
     if reports:

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import BinaryIO, Sequence
 
 from dravlid.backends import Backend, LiveBackend
-from dravlid.cache import utc_now_rfc3339
+from dravlid.cache import replacing, utc_now_rfc3339
 from dravlid.classifiers import check_policy, resolve_predictions
 from dravlid.corpus import SKIP, Dataset, naming_bad_bytes, read_lines
 from dravlid.errors import CorpusParseError, UnknownLabelCodeError
@@ -153,7 +153,7 @@ def evaluate_run(
 
 def write_predictions_jsonl(result: RunResult, path: str | Path) -> None:
     """Persist a run's predictions as JSONL of {word, raw_response, category_code}."""
-    with Path(path).open("wb") as out:
+    with replacing(path) as out:
         write_predictions(result, out)
 
 

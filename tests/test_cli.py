@@ -10,6 +10,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -18,6 +19,7 @@ import pytest
 
 import dravlid.cache
 import dravlid.cli
+import dravlid.runner
 from dravlid.cache import ResponseCache, make_record
 from dravlid.cli import main
 from dravlid.fixtures import golden_report_path, replay_fixture_path, smoke_corpus_path
@@ -908,6 +910,54 @@ def test_classify_writes_the_run_files_a_one_temperature_sweep_writes(
     )
 
 
+class TestRunFilesAreWholeOrAsTheyWere:
+    BASELINE = ["classify", KN_SMOKE, "--task", "kn", "--backend", "baseline"]
+
+    @pytest.mark.parametrize("fault, code", [(OSError("disk full"), 2),
+                                             (KeyboardInterrupt(), 130)])
+    def test_a_write_that_fails_partway_leaves_the_earlier_run(
+        self, tmp_path, capsys, monkeypatch, fault, code
+    ):
+        preds = tmp_path / "p.jsonl"
+        assert main([*self.BASELINE, "--out", str(preds)]) == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        def torn(result, out):
+            out.write(b'{"word": ')
+            raise fault
+
+        monkeypatch.setattr(dravlid.runner, "write_predictions", torn)
+        assert main([*self.BASELINE, "--out", str(preds)]) == code
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_an_unwritable_path_is_named_as_given(self, tmp_path, capsys):
+        preds = tmp_path / "missing" / "p.jsonl"
+        assert main([*self.BASELINE, "--out", str(preds)]) == 2
+        assert capsys.readouterr().err == (
+            f"dravlid: data error: [Errno 2] No such file or directory: '{preds}'\n")
+
+    def test_a_symlink_is_written_through_and_kept(self, tmp_path, capsys):
+        target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+        target.write_bytes(b"old\n")
+        link.symlink_to(target)
+        assert main([*self.BASELINE, "--out", str(link)]) == 0
+        assert link.is_symlink() and len(target.read_bytes().splitlines()) == 30
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_a_fifo_is_written_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "preds.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        assert main([*self.BASELINE, "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive() and len(received[0].splitlines()) == 30
+        assert fifo.is_fifo() and not list(tmp_path.glob("*.tmp"))
+
+
 class TestSweepAndReport:
     def run_sweep(self, out_dir, capsys):
         code = main(
@@ -1032,10 +1082,42 @@ def test_console_script_entry_point():
     assert "tokens: 30" in proc.stdout
 
 
-def test_cli_import_pulls_in_no_third_party_http_client():
-    probe = "import sys, dravlid.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+# Each offline command runs in one fresh interpreter, which then reports the
+# network modules it has loaded, and last whether every exported name imports.
+OFFLINE_PROBE = """
+import contextlib, io, json, sys
+from dravlid.cli import main
+
+corpus, replay, work = sys.argv[1:]
+network = ("http.client", "ssl", "urllib.request", "email", "socket",
+           "concurrent.futures", "requests", "urllib3")
+commands = {
+    "stats": ["stats", corpus],
+    "classify": ["classify", corpus, "--task", "kn", "--backend", "baseline",
+                 "--out", f"{work}/baseline.jsonl"],
+    "evaluate": ["evaluate", "--gold", corpus, "--pred", f"{work}/baseline.jsonl"],
+    "sweep": ["sweep", corpus, "--task", "kn", "--backend", "replay", "--cache", replay,
+              "--temperatures", "0.7", "--out-dir", f"{work}/runs"],
+    "report": ["report", f"{work}/runs"],
+}
+seen = {}
+for name, argv in commands.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    seen[name] = [code, [m for m in network if m in sys.modules]]
+import dravlid
+seen["__all__"] = [name for name in dravlid.__all__ if not hasattr(dravlid, name)]
+print(json.dumps(seen))
+"""
+
+
+def test_offline_commands_load_no_network_code(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=30
+        [sys.executable, "-c", OFFLINE_PROBE, KN_SMOKE, KN_REPLAY, str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    seen = json.loads(proc.stdout)
+    assert seen.pop("__all__") == []
+    assert seen == {name: [0, []] for name in
+                    ("stats", "classify", "evaluate", "sweep", "report")}, proc.stderr

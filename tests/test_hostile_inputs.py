@@ -6,8 +6,9 @@ float holds and lone surrogates; token and lexicon files meet bytes that
 are not UTF-8 and lone carriage returns, and --model a lone surrogate from
 such an argv byte. Every case must end in its exit code with
 one stderr line that names the file and line where there is one, and no
-traceback. The cache file and its checkpoint also meet such shapes drawn
-by hypothesis: a hostile checkpoint is always ignored.
+traceback. The cache file and its checkpoint, predictions lines and saved
+reports also meet such shapes drawn by hypothesis: a hostile checkpoint is
+always ignored.
 """
 
 import json
@@ -144,15 +145,16 @@ def with_value(doc, where: tuple, value: str) -> str:
 
 
 @st.composite
-def hostile_cache_lines(draw) -> bytes:
-    """A line, without its end, that is hostile whole, in one field, or at one byte."""
+def hostile_documents(draw, doc: dict) -> bytes:
+    """The JSON text of doc, without a line end, made hostile whole, in one
+    top-level value, or at one byte."""
     kind = draw(st.sampled_from(["whole", "field", "byte"]))
     if kind == "whole":
         return draw(HOSTILE_JSON).encode("utf-8")
     if kind == "field":
-        field = draw(st.sampled_from(sorted(OTHER)))
-        return with_value(OTHER, (field,), draw(HOSTILE_JSON)).encode("utf-8")
-    text = json.dumps(OTHER).encode("utf-8")
+        field = draw(st.sampled_from(sorted(doc)))
+        return with_value(doc, (field,), draw(HOSTILE_JSON)).encode("utf-8")
+    text = json.dumps(doc).encode("utf-8")
     at = draw(st.integers(0, len(text)))
     return text[:at] + draw(HOSTILE_BYTES) + text[at:]
 
@@ -181,6 +183,18 @@ def hostile_checkpoints(draw, doc: dict) -> bytes:
     return with_value(doc, where, value).encode("utf-8")
 
 
+PREDICTION = {"category_code": "en", "raw_response": "en", "word": "hello"}
+REPORT = {"run_label": "r", **{key: 0.5 for _, key in REPORT_ROWS}}
+
+
+def assert_one_clean_exit(capsys, code: int) -> None:
+    """A documented exit code, and at most one stderr line and no traceback."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert code in (0, 1, 2, 3), err
+    assert len(err.splitlines()) <= 1, err
+
+
 def replay_classify(tmp_path, cache: Path) -> int:
     corpus = write(tmp_path / "c.tsv", THREE_WORDS)
     return main(["classify", corpus, "--task", "kn", "--backend", "replay",
@@ -188,11 +202,12 @@ def replay_classify(tmp_path, cache: Path) -> int:
 
 
 class TestDrawnHostileShapes:
-    """Hostile shapes drawn into the cache file and into its checkpoint, run
-    through main(argv): exit 0 or 2, at most one stderr line, no traceback."""
+    """Hostile shapes drawn into the cache file and its checkpoint, a
+    predictions line and a saved report, run through main(argv): a
+    documented exit code, at most one stderr line, no traceback."""
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(line=hostile_cache_lines(), first=st.booleans(),
+    @given(line=hostile_documents(OTHER), first=st.booleans(),
            end=st.sampled_from([b"\n", b"\r\n", b""]))
     def test_cache_line(self, tmp_path, capsys, line, first, end):
         cache = tmp_path / "cache.jsonl"
@@ -231,6 +246,27 @@ class TestDrawnHostileShapes:
         assert (code, err) == (0, "")
         assert len(decoded) == 3  # every line: nothing came from the checkpoint
         assert (tmp_path / "p.jsonl").read_bytes() == expected
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(line=hostile_documents(PREDICTION), at=st.integers(0, 2),
+           end=st.sampled_from([b"\n", b"\r\n", b""]))
+    def test_predictions_line(self, tmp_path, capsys, line, at, end):
+        gold = write(tmp_path / "g.tsv", THREE_WORDS)
+        lines = [json.dumps({**PREDICTION, "word": word}).encode("utf-8") + b"\n"
+                 for word in ("hello", "mane", "book")]
+        at = 2 if end == b"" else at  # a line without its end is the last
+        lines[at] = line + end
+        pred = tmp_path / "p.jsonl"
+        pred.write_bytes(b"".join(lines))
+        code = main(["evaluate", "--gold", gold, "--pred", str(pred)])
+        assert_one_clean_exit(capsys, code)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=hostile_documents(REPORT))
+    def test_report_file(self, tmp_path, capsys, doc):
+        (tmp_path / "a.report.json").write_bytes(doc)
+        (tmp_path / "b.report.json").write_text(json.dumps(REPORT), encoding="utf-8")
+        assert_one_clean_exit(capsys, main(["report", str(tmp_path)]))
 
 
 class TestPredictionsLines:
