@@ -1,4 +1,5 @@
-"""Confusion matrices and the macro/weighted precision-recall-F1 suite.
+"""The macro/weighted precision-recall-F1 suite, scored from (gold, pred)
+pair counts.
 
 Conventions: zero denominators yield 0 (never NaN); macro averages run over
 classes with nonzero gold support unless the fixed-label-set convention is
@@ -9,6 +10,7 @@ rounds to 4 decimals.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
@@ -28,24 +30,8 @@ REPORT_ROWS = (
 )
 
 _member_name = attrgetter("_name_")
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Square count matrix indexed counts[gold][pred] over `labels`."""
-
-    labels: tuple[Category, ...]
-    counts: tuple[tuple[int, ...], ...]
-    n: int
-
-    def count(self, gold: Category, pred: Category) -> int:
-        return self.counts[self.labels.index(gold)][self.labels.index(pred)]
-
-    def row_sum(self, i: int) -> int:
-        return sum(self.counts[i])
-
-    def col_sum(self, j: int) -> int:
-        return sum(row[j] for row in self.counts)
+# What ends a markdown line: CR LF, CR or LF.
+_LINE_BREAK = re.compile(r"\r\n?|\n")
 
 
 @dataclass(frozen=True)
@@ -105,97 +91,46 @@ def count_pairs_by_word(
     return pairs
 
 
-def build_confusion(
-    pairs: Mapping[tuple[Category, Category], int],
-    labels: Sequence[Category] | None = None,
-) -> ConfusionMatrix:
-    """Tally a confusion matrix from (gold, pred) pair counts; labels default
-    to the observed categories in canonical taxonomy order.
-
-    Every count is positive: a pair no token has is left out.
-    """
-    if not pairs:
-        raise ValueError("cannot build a confusion matrix from no tokens")
-
-    observed = {cat for pair in pairs for cat in pair}
-    if labels is None:
-        label_tuple = tuple(cat for cat in Category if cat in observed)
-    else:
-        label_tuple = tuple(labels)
-        missing = observed - set(label_tuple)
-        if missing:
-            names = ", ".join(sorted(c.value for c in missing))
-            raise ValueError(f"labels must cover every observed category; missing {names}")
-
-    index = {cat: i for i, cat in enumerate(label_tuple)}
-    size = len(label_tuple)
-    cells = [[0] * size for _ in range(size)]
-    for (g, p), count in pairs.items():
-        cells[index[g]][index[p]] = count
-
-    return ConfusionMatrix(
-        labels=label_tuple,
-        counts=tuple(tuple(row) for row in cells),
-        n=sum(pairs.values()),
-    )
-
-
-def per_class_metrics(cm: ConfusionMatrix) -> list[PerClassMetrics]:
-    """Precision, recall, F1, and support for every label in the matrix."""
-    result = []
-    for i, cat in enumerate(cm.labels):
-        tp = cm.counts[i][i]
-        support = cm.row_sum(i)
-        predicted = cm.col_sum(i)
-        precision = tp / predicted if predicted > 0 else 0.0
-        recall = tp / support if support > 0 else 0.0
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if precision + recall > 0
-            else 0.0
-        )
-        result.append(
-            PerClassMetrics(
-                category=cat,
-                precision=precision,
-                recall=recall,
-                f1=f1,
-                support=support,
-                tp=tp,
-            )
-        )
-    return result
-
-
 def evaluate(
     pairs: Mapping[tuple[Category, Category], int],
     run_label: str = "",
     macro_convention: str = "support",
 ) -> MetricReport:
-    """Full pipeline from (gold, pred) pair counts: confusion matrix,
-    per-class metrics, aggregation. `count_pairs` gives the counts of
-    per-token labels.
+    """Score (gold, pred) pair counts, such as `count_pairs` gives: sum each
+    class's support, predicted count and true positives from the pairs,
+    then build the per-class metrics in taxonomy order and aggregate them.
 
-    macro_convention "support" averages over classes with gold instances;
-    "fixed" averages over the full 7-label taxonomy. Weighted recall and
+    macro_convention "support" reports the classes seen as gold or as
+    prediction and averages over those with gold instances; "fixed" reports
+    and averages over the full 7-label taxonomy. Weighted recall and
     accuracy are both computed as total TP over n, which is what the
     support-weighted recall sum reduces to; the two therefore agree bitwise
     by construction.
     """
-    if macro_convention == "support":
-        labels = None
-    elif macro_convention == "fixed":
-        labels = tuple(Category)
-    else:
+    if macro_convention not in ("support", "fixed"):
         raise ValueError(f"unknown macro convention {macro_convention!r}")
+    if not pairs:
+        raise ValueError("cannot evaluate no tokens")
 
-    cm = build_confusion(pairs, labels=labels)
-    per_class = per_class_metrics(cm)
-    n = cm.n
-    if labels is None:
-        macro_pool = [m for m in per_class if m.support > 0]
-    else:
-        macro_pool = per_class
+    support, predicted, hits = Counter(), Counter(), Counter()
+    for (gold, pred), count in pairs.items():
+        support[gold] += count
+        predicted[pred] += count
+        if gold is pred:
+            hits[gold] += count
+
+    fixed = macro_convention == "fixed"
+    per_class = []
+    for cat in Category:
+        if fixed or cat in support or cat in predicted:
+            tp = hits[cat]
+            precision = tp / predicted[cat] if predicted[cat] > 0 else 0.0
+            recall = tp / support[cat] if support[cat] > 0 else 0.0
+            f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+            per_class.append(PerClassMetrics(cat, precision, recall, f1, support[cat], tp))
+
+    n = sum(pairs.values())
+    macro_pool = per_class if fixed else [m for m in per_class if m.support > 0]
     k = len(macro_pool)
     total_correct_over_n = sum(m.tp for m in per_class) / n
 
@@ -210,9 +145,7 @@ def evaluate(
         accuracy=total_correct_over_n,
         per_class=tuple(per_class),
         prediction_only_classes=sum(
-            1
-            for i in range(len(cm.labels))
-            if cm.row_sum(i) == 0 and cm.col_sum(i) > 0
+            1 for m in per_class if m.support == 0 and predicted[m.category] > 0
         ),
     )
 
@@ -254,7 +187,10 @@ def report_dicts_to_markdown(reports: Sequence[dict]) -> str:
     """
     if not reports:
         raise ValueError("no reports to render")
-    labels = " | ".join(r.get("run_label") or "run" for r in reports)
+    # A label stays one cell: its pipes escaped, each line break a space.
+    labels = " | ".join(
+        _LINE_BREAK.sub(" ", (r.get("run_label") or "run").replace("|", "\\|")) for r in reports
+    )
     header = f"| Metric | {labels} |"
     divider = "|---" * (len(reports) + 1) + "|"
     lines = [header, divider]

@@ -99,6 +99,8 @@ def run_experiment(
     cache hit where a LiveBackend's cache would have answered it."""
     if len(ds) == 0:
         raise ValueError("cannot run an experiment over an empty dataset")
+    if config.task is not ds.task:
+        raise ValueError(f"a {config.task.value} config cannot run over a {ds.task.value} corpus")
     check_policy(failure_policy)
 
     started_at = utc_now_rfc3339()

@@ -766,6 +766,29 @@ class TestEvaluate:
         assert out.startswith("| Metric | demo |")
         assert "| Accuracy | 0.9000 |" in out
 
+    def test_label_with_pipe_or_line_break_stays_one_cell(self, kn_preds, tmp_path, capsys):
+        capsys.readouterr()
+        code = main(["evaluate", "--gold", KN_SMOKE, "--pred", kn_preds,
+                     "--format", "markdown", "--run-label", "a|b"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[:2] == ["| Metric | a\\|b |", "|---|---|"]
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        for label in ("x|y\r\nz", "p\nq\rr"):
+            out = str(runs / f"{label[0]}.report.json")
+            assert main(["evaluate", "--gold", KN_SMOKE, "--pred", kn_preds,
+                         "--run-label", label, "--out", out]) == 0
+        assert main(["report", str(runs)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "| Metric | p q r | x\\|y z |"
+        assert len(lines) == 9
+
+    def test_empty_corpus_is_data_error(self, tmp_path, capsys):
+        gold = write_lines(tmp_path / "g.tsv")
+        pred = write_lines(tmp_path / "p.jsonl")
+        assert main(["evaluate", "--gold", gold, "--pred", pred]) == 2
+        assert capsys.readouterr().err == "dravlid: data error: cannot evaluate no tokens\n"
+
     def test_report_to_file(self, kn_preds, tmp_path, capsys):
         capsys.readouterr()
         dest = tmp_path / "report.json"

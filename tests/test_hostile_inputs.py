@@ -6,9 +6,9 @@ float holds and lone surrogates; token and lexicon files meet bytes that
 are not UTF-8 and lone carriage returns, and --model a lone surrogate from
 such an argv byte. Every case must end in its exit code with
 one stderr line that names the file and line where there is one, and no
-traceback. The cache file and its checkpoint, predictions lines and saved
-reports also meet such shapes drawn by hypothesis: a hostile checkpoint is
-always ignored.
+traceback. The cache file and its checkpoint, predictions lines, saved
+reports, corpus files and --lexicon-dir lists also meet such shapes drawn
+by hypothesis: a hostile checkpoint is always ignored.
 """
 
 import json
@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dravlid
 import dravlid.cache
 from dravlid.baseline import load_wordlist
 from dravlid.cache import make_record
@@ -195,6 +196,27 @@ def assert_one_clean_exit(capsys, code: int) -> None:
     assert len(err.splitlines()) <= 1, err
 
 
+# Bytes put into a token or lexicon file: not UTF-8, NUL, a lone CR, a BOM
+# mid-file, extra tabs, the Tamil task's codes, a 70 kB line and U+2028.
+HOSTILE_SPLICES = st.sampled_from([
+    b"\xff", b"\xc3", b"\0", b"\r", b"\xef\xbb\xbf", b"\t", b"\t\t", b"tm", b"\ttmen",
+    b"nalla\ttm\n", b"w" * 70_000, b"w" * 70_000 + b"\ten\n", "\u2028".encode("utf-8"),
+])
+# --lexicon-dir's file names, and the bundled Kannada list each is made from.
+BUNDLED_LISTS = {"english_words.txt": "english_words.txt", "stems.txt": "kannada_stems.txt",
+                 "names.txt": "names.txt", "locations.txt": "locations.txt",
+                 "suffixes.txt": "kannada_suffixes.txt"}
+DATA_DIR = Path(dravlid.__file__).parent / "data"
+
+
+@st.composite
+def spliced(draw, data: bytes) -> bytes:
+    """data with one to three hostile pieces put in at one drawn place."""
+    at = draw(st.integers(0, len(data)))
+    pieces = draw(st.lists(HOSTILE_SPLICES, min_size=1, max_size=3))
+    return data[:at] + b"".join(pieces) + data[at:]
+
+
 def replay_classify(tmp_path, cache: Path) -> int:
     corpus = write(tmp_path / "c.tsv", THREE_WORDS)
     return main(["classify", corpus, "--task", "kn", "--backend", "replay",
@@ -203,8 +225,9 @@ def replay_classify(tmp_path, cache: Path) -> int:
 
 class TestDrawnHostileShapes:
     """Hostile shapes drawn into the cache file and its checkpoint, a
-    predictions line and a saved report, run through main(argv): a
-    documented exit code, at most one stderr line, no traceback."""
+    predictions line, a saved report, a corpus file and a --lexicon-dir
+    list, run through main(argv): a documented exit code, at most one
+    stderr line, no traceback."""
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(line=hostile_documents(OTHER), first=st.booleans(),
@@ -267,6 +290,37 @@ class TestDrawnHostileShapes:
         (tmp_path / "a.report.json").write_bytes(doc)
         (tmp_path / "b.report.json").write_text(json.dumps(REPORT), encoding="utf-8")
         assert_one_clean_exit(capsys, main(["report", str(tmp_path)]))
+
+
+    def run_baseline(self, tmp_path, capsys, corpus: str, *flags: str) -> None:
+        """classify --out and sweep --out-dir over corpus, each a clean exit."""
+        for argv in (
+            ["classify", corpus, "--task", "kn", "--backend", "baseline",
+             "--out", str(tmp_path / "p.jsonl"), *flags],
+            ["sweep", corpus, "--task", "kn", "--backend", "baseline",
+             "--out-dir", str(tmp_path / "runs"), *flags],
+        ):
+            assert_one_clean_exit(capsys, main(argv))
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corpus_file(self, tmp_path, capsys, data):
+        corpus = tmp_path / "c.tsv"
+        corpus.write_bytes(data.draw(spliced(THREE_WORDS.encode("utf-8"))))
+        assert_one_clean_exit(capsys, main(["stats", str(corpus)]))
+        self.run_baseline(tmp_path, capsys, str(corpus))
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(name=st.sampled_from(sorted(BUNDLED_LISTS)), data=st.data())
+    def test_lexicon_dir(self, tmp_path, capsys, name, data):
+        lexicons = tmp_path / "lexicons"
+        lexicons.mkdir(exist_ok=True)
+        for target, source in BUNDLED_LISTS.items():
+            (lexicons / target).write_bytes((DATA_DIR / source).read_bytes())
+        bundled = (DATA_DIR / BUNDLED_LISTS[name]).read_bytes()
+        (lexicons / name).write_bytes(data.draw(spliced(bundled)))
+        corpus = write(tmp_path / "c.tsv", THREE_WORDS)
+        self.run_baseline(tmp_path, capsys, corpus, "--lexicon-dir", str(lexicons))
 
 
 class TestPredictionsLines:

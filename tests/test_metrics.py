@@ -1,25 +1,28 @@
 """Metric suite correctness, checked against the brute-force oracle."""
 
+import hashlib
 import json
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dravlid.fixtures import oracle_metrics
+from dravlid.backends import ReplayBackend
+from dravlid.corpus import parse_corpus_file
+from dravlid.fixtures import oracle_metrics, replay_fixture_path, smoke_corpus_path
 from dravlid.metrics import (
     REPORT_ROWS,
     MetricReport,
-    build_confusion,
     count_pairs,
     evaluate,
-    per_class_metrics,
     report_dicts_to_markdown,
     report_to_json,
     report_to_markdown,
     reports_to_markdown,
 )
-from dravlid.taxonomy import Category
+from dravlid.prompting import ExperimentConfig
+from dravlid.runner import evaluate_run, run_experiment
+from dravlid.taxonomy import Category, TaskLanguage
 
 A = Category.ENGLISH
 B = Category.DRAVIDIAN
@@ -105,31 +108,33 @@ class TestEdgeCases:
 
 
 class TestConfusionMatrix:
+    """The pair counts are the matrix's cells: each class's support is its
+    row sum, and its precision denominator its column sum."""
+
     def test_cell_conservation(self):
-        cm = build_confusion(count_pairs([A, A, B, C], [A, B, B, C]))
-        assert sum(sum(row) for row in cm.counts) == cm.n == 4
+        report = evaluate(count_pairs([A, A, B, C], [A, B, B, C]))
+        assert sum(m.support for m in report.per_class) == 4
 
     def test_labels_in_canonical_order(self):
-        cm = build_confusion(count_pairs([C, A], [A, C]))
-        assert cm.labels == (A, C)
+        report = evaluate(count_pairs([C, A], [A, C]))
+        assert [m.category for m in report.per_class] == [A, C]
 
     def test_count_lookup(self):
-        cm = build_confusion(count_pairs([A, A, B], [A, B, B]))
-        assert cm.count(A, A) == 1
-        assert cm.count(A, B) == 1
-        assert cm.count(B, A) == 0
+        pairs = count_pairs([A, A, B], [A, B, B])
+        assert pairs == {(A, A): 1, (A, B): 1, (B, B): 1}
+        assert [(m.category, m.tp) for m in evaluate(pairs).per_class] == [(A, 1), (B, 1)]
 
-    def test_explicit_labels_must_cover_observed(self):
-        with pytest.raises(ValueError, match="Mixed"):
-            build_confusion(count_pairs([A, C], [A, A]), labels=[A, B])
-
-    @given(gold_pred_pairs(max_n=60))
-    def test_row_sums_are_gold_counts(self, pair):
+    @given(gold_pred_pairs(max_n=60), st.sampled_from(["support", "fixed"]))
+    def test_row_sums_are_gold_counts(self, pair, convention):
         gold, pred = pair
-        cm = build_confusion(count_pairs(gold, pred))
-        for i, label in enumerate(cm.labels):
-            assert cm.row_sum(i) == sum(1 for g in gold if g is label)
-            assert cm.col_sum(i) == sum(1 for p in pred if p is label)
+        report = evaluate(count_pairs(gold, pred), macro_convention=convention)
+        labels = [m.category for m in report.per_class]
+        assert labels == [c for c in Category if c in labels]
+        assert sum(m.support for m in report.per_class) == len(gold)
+        for m in report.per_class:
+            assert m.support == gold.count(m.category)
+            predicted = pred.count(m.category)
+            assert m.precision == (m.tp / predicted if predicted else 0.0)
 
 
 class TestAgainstOracle:
@@ -254,4 +259,32 @@ class TestReportShape:
     def test_report_dataclass_fields(self):
         report = evaluate(count_pairs([A], [A]))
         assert isinstance(report, MetricReport)
-        assert per_class_metrics(build_confusion(count_pairs([A], [A])))[0].support == 1
+        assert report.per_class[0].support == 1
+
+
+# SHA-256 of report_to_json for each smoke replay run, by task, temperature
+# and macro convention. The smoke corpora hold every category in gold, so
+# the two conventions give the same bytes; the 0.7 digests are the golden
+# reports'.
+PINNED_REPORTS = {
+    ("kannada", 0.7): "f2e64cdd6abe25296fa5c61ecf476cb3161b7cc7eb47255eaaf1358e84b24a0b",
+    ("kannada", 0.8): "d4fec1b36a9436282a3248f99f7534755f270df7ae3bc1689039a3c51365faa2",
+    ("kannada", 0.9): "a41393c6209d6061620c246062a0da7bc08ca58eb215f4a64475c1af396676d4",
+    ("tamil", 0.7): "659531cd3ca064e28654ffababf3e4c9a299ca0df08d1dd110f2a1a02b168ab5",
+    ("tamil", 0.8): "388c2df32d171ff0df82e9d7a23415a139c2f14b0ee8753e278eb00b69101f47",
+    ("tamil", 0.9): "3e3e8ce709e0e8f90ff8b114d6749b4ff7ef453612fa61a1363dc7c0d2d9bb1a",
+}
+
+
+@pytest.mark.parametrize("convention", ["support", "fixed"])
+@pytest.mark.parametrize("task, temperature", PINNED_REPORTS)
+def test_smoke_replay_report_bytes_are_pinned(task, temperature, convention):
+    task = TaskLanguage(task)
+    ds = parse_corpus_file(smoke_corpus_path(task), task)
+    config = ExperimentConfig(task=task, temperature=temperature)
+    result = run_experiment(ds, config, ReplayBackend.from_jsonl(replay_fixture_path(task)))
+    # Scored by word, as a sweep scores a run, and per token, as evaluate does.
+    for scored in (result, result.predictions):
+        text = report_to_json(evaluate_run(ds, scored, config.run_label, convention))
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == PINNED_REPORTS[task.value, temperature]

@@ -73,6 +73,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="empty"):
             run_experiment(ds, ExperimentConfig(task=KN), BaselineBackend())
 
+    def test_config_for_the_other_task_rejected_before_the_backend_is_called(self):
+        ds = parse_corpus_file(smoke_corpus_path(KN), KN)
+        backend = ReplayBackend.from_jsonl(replay_fixture_path(TM))
+        calls = []
+        backend.classify_words = lambda *args: calls.append(args)
+        with pytest.raises(ValueError, match="a tamil config cannot run over a kannada corpus"):
+            run_experiment(ds, ExperimentConfig(task=TM), backend)
+        assert calls == []
+
     def test_unknown_policy_rejected_before_any_requests(self):
         ds, config, backend = three_token_setup()
         with pytest.raises(ValueError, match="policy"):
@@ -184,11 +193,10 @@ class TestDeterminism:
         ds = parse_corpus_file(smoke_corpus_path(KN), KN)
         backend = ReplayBackend.from_jsonl(replay_fixture_path(KN))
         result = run_experiment(ds, ExperimentConfig(task=KN), backend)
-        from dravlid.metrics import build_confusion, count_pairs
-
-        cm = build_confusion(count_pairs(ds.gold_categories(), list(result.predictions)))
-        assert len(result.predictions) == len(ds) == cm.n
-        assert sum(sum(row) for row in cm.counts) == cm.n
+        assert len(result.predictions) == len(ds)
+        for scored in (result, result.predictions):
+            report = evaluate_run(ds, scored)
+            assert sum(m.support for m in report.per_class) == len(ds)
 
 
 class TestSweep:
