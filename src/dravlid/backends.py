@@ -6,7 +6,20 @@ the cache held it. Words are deduplicated before they get here, by
 corpus.Dataset. LiveBackend looks each word up in the response cache and
 sends only the misses to its miss handler, which asks the chat endpoint
 and persists the reply; it refuses a repeated word, which would cost a
-second request. ReplayBackend(cache) is that same path with no transport:
+second request.
+
+The misses are answered by max_workers workers, and the calling thread is
+one of them, so a single worker starts no thread. Each worker takes the
+next miss, in input order, from one hand-out guarded by a lock, and writes
+its answer into that miss's slot, so results stay in input order. The
+first failure stops the hand-out: the misses already taken still finish
+and are cached, and the error raised is that of the failed miss that comes
+first in input order. An interrupt (Ctrl-C) in the calling thread stops
+the hand-out and leaves at once, without waiting for the other workers:
+they are daemon threads, each finishing at most the miss it holds, and a
+process that exits takes them with it, unanswered and uncached.
+
+ReplayBackend(cache) is the same lookup path with no transport:
 it reads the cache file through the same index as a live rerun, so the
 first record for a request wins and a checkpoint is used (and may be
 written, as PATH.index), and a miss is a FixtureMissError, never a request
@@ -15,6 +28,8 @@ and never an append.
 
 from __future__ import annotations
 
+import threading
+from operator import itemgetter
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -87,17 +102,54 @@ class LiveBackend:
                 misses.append((len(replies), word, prompt))
             replies.append(reply)
         hits = [reply is not None for reply in replies]
-
-        if len(misses) > 1 and self.max_workers > 1:
-            from concurrent.futures import ThreadPoolExecutor  # only a pooled live run needs it
-
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                answers = list(pool.map(lambda m: self._miss(*m[1:], config), misses))
-        else:
-            answers = [self._miss(word, prompt, config) for _, word, prompt in misses]
-        for (i, _, _), (reply, hit) in zip(misses, answers):
-            replies[i], hits[i] = reply, hit
+        if misses:
+            self._answer_misses(misses, config, replies, hits)
         return replies, hits
+
+    def _answer_misses(
+        self,
+        misses: list[tuple[int, str, str]],
+        config: ExperimentConfig,
+        replies: list,
+        hits: list[bool],
+    ) -> None:
+        """Answer each (position, word, prompt) miss through _miss into
+        replies and hits at its position, on max_workers workers, the
+        calling thread among them (see the module docstring)."""
+        lock = threading.Lock()
+        handout = iter(misses)
+        failed: list[tuple[int, Exception]] = []
+
+        def work() -> None:
+            nonlocal handout
+            while True:
+                with lock:
+                    miss = next(handout, None)
+                if miss is None:
+                    return
+                i, word, prompt = miss
+                try:
+                    replies[i], hits[i] = self._miss(word, prompt, config)
+                except Exception as exc:
+                    with lock:
+                        handout = iter(())
+                    failed.append((i, exc))
+                    return
+
+        workers = [threading.Thread(target=work, name="dravlid-miss", daemon=True)
+                   for _ in range(min(self.max_workers, len(misses)) - 1)]
+        try:
+            for worker in workers:
+                worker.start()
+            work()
+            for worker in workers:
+                worker.join()
+        except BaseException:  # an interrupt: stop the hand-out, wait for no worker
+            with lock:
+                handout = iter(())
+            raise
+        if failed:
+            raise min(failed, key=itemgetter(0))[1]
 
     def _miss(self, word: str, prompt: str, config: ExperimentConfig) -> tuple[str, bool]:
         """Answer one uncached prompt: (raw_response, from_cache)."""

@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 from contextlib import contextmanager, suppress
@@ -46,13 +47,30 @@ except ImportError:  # not on Windows: appends there take no lock
 _log = logging.getLogger(__name__)
 
 
+# json.dumps's text for a request (sorted keys, no spaces, ensure_ascii
+# off) and for a record (sorted keys, default separators): each %s takes a
+# string encoded by _encode or a number's text from json_number.
+_KEY_PAYLOAD = '{"model":%s,"prompt":%s,"temperature":%s}'
+_RECORD_LINE = ('{"cache_key": %s, "created_at": %s, "model_id": %s, "prompt": %s, '
+                '"raw_response": %s, "temperature": %s}')
+# The C string encoder behind json.dumps(ensure_ascii=False).
+_encode = json.encoder.encode_basestring
+
+
+def json_number(value: float) -> str:
+    """A number's JSON text exactly as json.dumps writes it: a finite float's
+    or an int's own repr, and json.dumps itself for anything else (NaN and
+    the infinities, bools, subclasses)."""
+    if type(value) is float and math.isfinite(value) or type(value) is int:
+        return repr(value)
+    return json.dumps(value)
+
+
 def cache_key(model_id: str, temperature: float, prompt: str) -> str:
-    payload = json.dumps(
-        {"model": model_id, "temperature": float(temperature), "prompt": prompt},
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=False,
-    )
+    """SHA-256 of the request as canonical JSON: the text of
+    json.dumps({"model", "temperature": float(temperature), "prompt"},
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False)."""
+    payload = _KEY_PAYLOAD % (_encode(model_id), _encode(prompt), json_number(float(temperature)))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -91,8 +109,12 @@ class CacheRecord:
     created_at: str
 
     def to_json_line(self) -> str:
-        # The instance dict holds exactly the fields: asdict's output without its deep copy.
-        return json.dumps(self.__dict__, ensure_ascii=False, sort_keys=True)
+        """The record's cache line, without its newline: the text of
+        json.dumps(fields, ensure_ascii=False, sort_keys=True)."""
+        return _RECORD_LINE % (
+            _encode(self.cache_key), _encode(self.created_at), _encode(self.model_id),
+            _encode(self.prompt), _encode(self.raw_response), json_number(self.temperature),
+        )
 
 
 def _decode_record(line: str) -> tuple:

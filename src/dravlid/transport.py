@@ -24,6 +24,7 @@ import urllib.parse
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from dravlid.cache import json_number
 from dravlid.errors import ResponseFormatError, TransportError
 
 if TYPE_CHECKING:
@@ -43,6 +44,14 @@ MAX_WAIT = threading.TIMEOUT_MAX / 2
 # A reply, head and body, holds a few tokens: a longer one is a failed attempt.
 MAX_REPLY_BYTES = 1 << 20
 
+# json.dumps's text for a request body, in its keys' order, with the default
+# separators and ensure_ascii; each %s takes an ASCII-encoded string or a
+# number's text from json_number.
+_BODY = ('{"model": %s, "temperature": %s, "max_tokens": %s, '
+         '"messages": [{"role": "user", "content": %s}]}')
+# The C string encoder behind json.dumps(ensure_ascii=True).
+_encode_ascii = json.encoder.encode_basestring_ascii
+
 _RETRYABLE_STATUSES = frozenset({429}) | frozenset(range(500, 600))
 
 # How a send on a connection the server closed while it sat idle fails
@@ -61,13 +70,13 @@ class ChatRequest:
         if not self.user_message:
             raise ValueError("user_message must be non-empty")
 
-    def to_wire(self) -> dict:
-        return {
-            "model": self.model_id,
-            "temperature": self.temperature,
-            "max_tokens": self.max_output_tokens,
-            "messages": [{"role": "user", "content": self.user_message}],
-        }
+    def to_wire(self) -> bytes:
+        """The request body: the bytes of json.dumps({model, temperature,
+        max_tokens, messages}), filled into a fixed template."""
+        return (_BODY % (
+            _encode_ascii(self.model_id), json_number(self.temperature),
+            json_number(self.max_output_tokens), _encode_ascii(self.user_message),
+        )).encode("ascii")
 
 
 @dataclass(frozen=True)
@@ -210,7 +219,7 @@ class ChatTransport:
         self.retry = retry if retry is not None else RetryPolicy()
         self._rate_limiter = rate_limiter
         self._sleep = sleep
-        # complete() runs in pool threads; += on an attribute is not atomic.
+        # complete() runs in worker threads; += on an attribute is not atomic.
         self._count_lock = threading.Lock()
         self.requests_sent = 0
 
@@ -272,7 +281,7 @@ class ChatTransport:
 
     def complete(self, req: ChatRequest) -> str:
         """POST the request; return the first choice's message text verbatim."""
-        body = json.dumps(req.to_wire()).encode("utf-8")
+        body = req.to_wire()
         message = b"".join((self._head, b"%d" % len(body), self._head_end, body))
         last_status: int | None = None
         last_detail = ""

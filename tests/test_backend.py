@@ -702,6 +702,7 @@ class TestLiveBackend:
                 max_workers=6,
             )
             replies, hits = backend.classify_words(words, ExperimentConfig(task=KN))
+            assert server.request_count == len(words)  # no miss is handed out twice
         assert replies == [f"reply:{w}" for w in words]
         assert hits == [False] * len(words)
 
@@ -745,6 +746,116 @@ class TestLiveBackend:
             with pytest.raises(UnicodeEncodeError):
                 backend.classify_words(["mane", "hello", "bega"], config)
             assert server.request_count == 0
+
+
+class ScriptedTransport:
+    """A transport stand-in that answers "reply:<word>" after
+    delay(word) seconds, or raises fail(word) when it is not None, and
+    records the words it was asked for and the thread that asked."""
+
+    def __init__(self, delay=lambda word: 0.0, fail=lambda word: None):
+        self.delay, self.fail = delay, fail
+        self.started: list[str] = []
+        self.threads: set[threading.Thread] = set()
+
+    def complete(self, req: ChatRequest) -> str:
+        word = word_from_prompt(req.user_message)
+        self.started.append(word)
+        self.threads.add(threading.current_thread())
+        time.sleep(self.delay(word))
+        error = self.fail(word)
+        if error is not None:
+            raise error
+        return "reply:" + word
+
+
+def bad_request(word: str) -> TransportError:
+    return TransportError(f"chat endpoint returned 400: bad {word}", status=400)
+
+
+class TestMissWorkers:
+    """How LiveBackend answers its misses: max_workers workers, the calling
+    thread among them, taking misses in input order from one hand-out."""
+
+    def test_endpoint_never_sees_more_than_max_workers_requests_at_once(self, tmp_path):
+        lock = threading.Lock()
+        in_flight, peak = [0], [0]
+
+        def counted(body):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            time.sleep(0.02)
+            with lock:
+                in_flight[0] -= 1
+            return "en"
+
+        with StubChatServer(default_content=counted) as server:
+            backend = LiveBackend(ResponseCache(tmp_path / "c.jsonl"), make_transport(server),
+                                  max_workers=3)
+            replies, _ = backend.classify_words([f"w{i}" for i in range(15)],
+                                                ExperimentConfig(task=KN))
+            assert server.request_count == 15
+        assert replies == ["en"] * 15
+        assert peak[0] == 3
+
+    def test_one_worker_starts_no_thread(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dravlid.backends.threading, "Thread",
+                            lambda *a, **k: pytest.fail("started a thread"))
+        transport = ScriptedTransport()
+        backend = LiveBackend(ResponseCache(tmp_path / "c.jsonl"), transport, max_workers=1)
+        words = ["mane", "hello", "bega"]
+        assert backend.classify_words(words, ExperimentConfig(task=KN)) == (
+            [f"reply:{w}" for w in words], [False] * 3)
+        assert transport.threads == {threading.current_thread()}
+
+    def test_a_failure_stops_the_hand_out_and_in_flight_misses_are_cached(self, tmp_path):
+        words = [f"w{i}" for i in range(40)]
+        transport = ScriptedTransport(
+            delay=lambda word: 0.05 if word != "w10" else 0.0,
+            fail=lambda word: bad_request(word) if word == "w10" else None,
+        )
+        cache = ResponseCache(tmp_path / "c.jsonl")
+        backend = LiveBackend(cache, transport, max_workers=4)
+        with pytest.raises(TransportError, match="bad w10") as excinfo:
+            backend.classify_words(words, ExperimentConfig(task=KN))
+        assert excinfo.value.status == 400
+        started = sorted(int(word[1:]) for word in transport.started)
+        # Only the three misses in flight beside w10 may come after it.
+        assert started == list(range(len(started)))
+        assert 11 <= len(started) <= 14
+        assert len(cache) == len(started) - 1  # every answered miss is cached
+
+    def test_of_two_failures_the_first_in_input_order_is_raised(self, tmp_path):
+        # w0 fails late, w1 at once: w1's error comes first in time.
+        transport = ScriptedTransport(
+            delay=lambda word: 0.1 if word == "w0" else 0.0,
+            fail=lambda word: bad_request(word) if word in ("w0", "w1") else None,
+        )
+        backend = LiveBackend(ResponseCache(None), transport, max_workers=2)
+        with pytest.raises(TransportError, match="bad w0"):
+            backend.classify_words(["w0", "w1", "w2", "w3"], ExperimentConfig(task=KN))
+        assert sorted(transport.started) == ["w0", "w1"]
+
+    @pytest.mark.parametrize("failing", [None, "w5"])
+    def test_every_worker_has_ended_when_the_call_returns(self, tmp_path, failing):
+        # Misses answered outside the calling thread are slow, so a worker
+        # not joined would still be running.
+        caller = threading.current_thread()
+        transport = ScriptedTransport(
+            delay=lambda word: 0.0 if threading.current_thread() is caller else 0.1,
+            fail=lambda word: bad_request(word) if word == failing else None,
+        )
+        backend = LiveBackend(ResponseCache(None), transport, max_workers=4)
+        before = threading.active_count()
+        try:
+            backend.classify_words([f"w{i}" for i in range(8)], ExperimentConfig(task=KN))
+        except TransportError:
+            assert failing is not None
+        else:
+            assert failing is None
+        assert threading.active_count() == before
+        assert len(transport.threads) > 1
 
 
 class TestReplayBackend:

@@ -120,7 +120,11 @@ class TestRequestHead:
         if sock is not None:
             conn.sock = sock  # http.client then sends on it without connecting
         try:
-            body = json.dumps(REQUEST.to_wire()).encode("utf-8")
+            body = json.dumps({
+                "model": REQUEST.model_id, "temperature": REQUEST.temperature,
+                "max_tokens": REQUEST.max_output_tokens,
+                "messages": [{"role": "user", "content": REQUEST.user_message}],
+            }).encode("utf-8")
             conn.request("POST", transport._target, body, headers)
             assert conn.getresponse().read() == BODY
         finally:
