@@ -1,8 +1,8 @@
 """Estimator-style classifier API, and the reply table every run reads.
 
 `resolve_predictions` normalizes each distinct reply once, into the reply
-table that a run and the estimators read their categories from: each reply
-to its `NormalizationOutcome` (category, wire code, ok).
+table a run reads its categories from: each reply to its `NormalizationOutcome`
+(category, wire code, ok). The estimators predict through a run, as the CLI does.
 
 Both classifiers follow scikit-learn conventions (constructor params stored
 verbatim, get_params/set_params, a no-op fit returning self) so they drop
@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Iterable
 
-from dravlid.backends import Backend, BaselineBackend, LiveBackend
+from dravlid.backends import Backend, BaselineBackend
 from dravlid.baseline import LexiconSet
 from dravlid.corpus import Dataset
 from dravlid.errors import UnparseableResponseError
@@ -138,26 +138,25 @@ class BaseWordClassifier:
         return self
 
     def predict_detailed(self, X) -> list[WordPrediction]:
-        """One prediction per word of X, each distinct word asked for once.
+        """One prediction per word of X, from run_experiment over a Dataset
+        of X; a repeat is a cache hit where the run counts it as one."""
+        from dravlid.runner import run_experiment  # runner imports this module
 
-        A repeat is a hit where a LiveBackend's cache would answer it."""
         policy = check_policy(self.failure_policy)
         words = check_words(X)
-        config = self._config()
-        backend = self._backend()
+        config, backend = self._config(), self._backend()
+        if not words:
+            return []
         ds = X if isinstance(X, Dataset) else Dataset(config.task, words, [None] * len(words))
-        replies, hits = backend.classify_words(ds.words, config)
-        table = resolve_predictions(ds.words, replies, config.task, policy)
-        live = isinstance(backend, LiveBackend)
+        run = run_experiment(ds, config, backend, policy)
         predictions = []
         seen = 0  # word ids run in first-occurrence order
-        for i in ds.index:
+        for i in run.index:
             repeat = i < seen
             seen += not repeat
-            category, code, ok = table[replies[i]]
-            predictions.append(WordPrediction(
-                ds.words[i], replies[i], category, code, hits[i] or (live and repeat), not ok
-            ))
+            category, code, ok = run.table[run.replies[i]]
+            predictions.append(WordPrediction(run.words[i], run.replies[i], category, code,
+                                              run.hits[i] or (run.repeats_hit and repeat), not ok))
         return predictions
 
     def predict(self, X) -> list[Category]:
@@ -194,8 +193,8 @@ class LLMClassifier(BaseWordClassifier):
     Parameters
     ----------
     task : "kannada"/"kn" or "tamil"/"tm" (or a TaskLanguage)
-    backend : object answering classify_words(distinct words, config) with
-        two columns, each word's reply and whether the cache held it
+    backend : object with a kind, answering classify_words(distinct words,
+        config) with each word's reply and whether the cache held it
     model_id, temperature, max_output_tokens : request identity
     failure_policy : "map_to_other" (default) or "strict"
     """

@@ -35,10 +35,6 @@ DEFAULT_MAX_OUTPUT_TOKENS = 16
 SWEEP_TEMPERATURES = (0.7, 0.8, 0.9)
 
 
-def template_for(task: TaskLanguage) -> str:
-    return _TEMPLATES[task]
-
-
 def render_prompt(word: str, task: TaskLanguage) -> str:
     """Substitute the raw word into the task template, nothing else."""
     if not word or not word.strip():

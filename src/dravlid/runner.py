@@ -1,11 +1,11 @@
 """Experiment orchestration: run a backend over a corpus, evaluate, record.
 
-A run predicts once per distinct word and puts the predictions in token order
-through the dataset's index. It is one record: its config and provenance,
-columns over the distinct words, and the token counts (cache hits,
-unparseable) that its manifest renders to make reruns auditable. A run holds
-no object per word: it is written from one encoded line per distinct word
-and scored from the dataset's (gold, word) pair counts.
+A run, of the CLI or of an estimator, predicts once per distinct word and puts
+the predictions in token order through the dataset's index. It is one record:
+its config and provenance, columns over the distinct words, and the token
+counts (cache hits, unparseable) that its manifest renders to make reruns
+auditable. A run holds no object per word: it is written from one encoded
+line per distinct word and scored from the dataset's (gold, word) pair counts.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 @dataclass(frozen=True)
 class RunResult:
-    """One run over a dataset: how it was made, a reply per entry of
-    `ds.words`, the reply table of their outcomes, `ds.index` to map tokens
-    to them, and token counts."""
+    """One run over a dataset: how it was made, a reply and a cache flag per
+    `ds.words` entry, the reply table, `ds.index` and the token counts."""
 
     config: ExperimentConfig
     corpus_path: str
@@ -53,6 +52,8 @@ class RunResult:
     finished_at: str
     words: Sequence[str]
     replies: list[str]
+    hits: list[bool]
+    repeats_hit: bool
     table: dict[str, NormalizationOutcome]
     index: array
     cache_hits: int
@@ -95,8 +96,8 @@ def run_experiment(
     failure_policy: str = "map_to_other",
 ) -> RunResult:
     """Classify each distinct word once, in first-occurrence order, so that
-    strict still names the first unparseable token. A repeat of a word is a
-    cache hit where a LiveBackend's cache would have answered it."""
+    strict still names the first unparseable token. A repeat is a cache hit
+    where a LiveBackend's cache would have answered it (`repeats_hit`)."""
     if len(ds) == 0:
         raise ValueError("cannot run an experiment over an empty dataset")
     if config.task is not ds.task:
@@ -109,14 +110,13 @@ def run_experiment(
     finished_at = utc_now_rfc3339()
 
     unparseable = [not table[reply].ok for reply in replies]
+    repeats_hit = isinstance(backend, LiveBackend)
     return RunResult(
         config=config, corpus_path=ds.source_path, backend_kind=backend.kind,
         failure_policy=failure_policy, started_at=started_at, finished_at=finished_at,
-        words=ds.words, replies=replies, table=table, index=ds.index,
-        cache_hits=(
-            len(ds) - hits.count(False) if isinstance(backend, LiveBackend)
-            else _tokens_flagged(hits, ds)
-        ),
+        words=ds.words, replies=replies, hits=hits, repeats_hit=repeats_hit,
+        table=table, index=ds.index,
+        cache_hits=len(ds) - hits.count(False) if repeats_hit else _tokens_flagged(hits, ds),
         unparseable_count=_tokens_flagged(unparseable, ds),
     )
 

@@ -143,7 +143,7 @@ class ChatTransport:
     """Callable wrapper around one endpoint + credentials + retry policy.
 
     Keeps its idle keep-alive connections for reuse by later requests, from
-    any thread; close() closes them, and so does leaving a `with` block.
+    any thread, until close() (or leaving a `with` block) closes them all.
     """
 
     def __init__(
@@ -216,6 +216,7 @@ class ChatTransport:
         self._timeout = timeout
         self._idle: list[Connection] = []
         self._idle_lock = threading.Lock()
+        self._closed = False  # set by close(): no connection is pooled after it
         self.retry = retry if retry is not None else RetryPolicy()
         self._rate_limiter = rate_limiter
         self._sleep = sleep
@@ -230,8 +231,10 @@ class ChatTransport:
         self.close()
 
     def close(self) -> None:
-        """Close the idle connections; a later request opens a new one."""
+        """Close the idle connections now and each busy one when its request
+        ends; a later request still works, on a connection of its own."""
         with self._idle_lock:
+            self._closed = True
             idle, self._idle = self._idle, []
         for conn in idle:
             conn.close()
@@ -240,7 +243,7 @@ class ChatTransport:
         """Send one request on an idle connection, or a new one, and return
         the reply's status and whole body, all within the timeout. A
         connection goes back to the idle stack only when its reply left it
-        fit for another; one whose exchange raised is closed.
+        fit for another and close() has not run; any other is closed.
 
         A pooled connection the server has closed is dropped before use; if
         the server closes it before the reply starts, the request is sent
@@ -261,10 +264,11 @@ class ChatTransport:
         except BaseException:
             conn.close()
             raise
-        if reusable:
-            with self._idle_lock:
+        with self._idle_lock:
+            pooled = reusable and not self._closed
+            if pooled:
                 self._idle.append(conn)
-        else:
+        if not pooled:
             conn.close()
         return status, data
 

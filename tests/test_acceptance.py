@@ -27,10 +27,11 @@ from dravlid.fixtures import (
 )
 from dravlid.metrics import count_pairs, evaluate, report_to_json
 from dravlid.prompting import (
+    KANNADA_TEMPLATE,
     PLACEHOLDER,
+    TAMIL_TEMPLATE,
     ExperimentConfig,
     render_prompt,
-    template_for,
 )
 from dravlid.runner import evaluate_run, run_experiment
 from dravlid.taxonomy import (
@@ -149,7 +150,7 @@ def test_criterion_4_prompt_fidelity():
     rng = random.Random(404)
     alphabet = string.ascii_letters + string.digits
     for task in TASKS:
-        template = template_for(task)
+        template = {KN: KANNADA_TEMPLATE, TM: TAMIL_TEMPLATE}[task]
         for _ in range(200):
             word = "".join(rng.choices(alphabet, k=rng.randint(1, 15)))
             assert render_prompt(word, task) == template.replace(PLACEHOLDER, word)

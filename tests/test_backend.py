@@ -364,6 +364,23 @@ class TestConnections:
             assert wait_until(lambda: server.open_connections == 0)
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
+    def test_close_during_a_request_closes_its_connection_when_it_ends(self):
+        # The reply comes 0.3 s in, and close() runs 0.1 s in, while the
+        # request is on its way: its connection is closed, not pooled.
+        slow = StubChatServer(lambda body: time.sleep(0.3) or "en", keep_alive=True)
+        with slow as server:
+            transport = make_transport(server)
+            replies = []
+            worker = threading.Thread(target=lambda: replies.append(transport.complete(request())))
+            worker.start()
+            time.sleep(0.1)
+            transport.close()
+            worker.join(timeout=5)
+            assert replies == ["en"]
+            assert transport._idle == []
+            assert wait_until(lambda: server.open_connections == 0)
+            assert server.connections == 1
+
 
 @pytest.mark.parametrize(
     "base_url", ["localhost:8080", "ftp://x", "http://", "https:///v1", "http://h:port"]

@@ -27,6 +27,8 @@ def columns(*pairs) -> tuple[list[str], list[str]]:
 class AnsweringBackend:
     """A backend that answers with fixed columns, whatever it is asked."""
 
+    kind = "answering"
+
     def __init__(self, replies: list[str], hits: list[bool]):
         self.replies, self.hits = replies, hits
 

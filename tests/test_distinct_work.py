@@ -244,7 +244,8 @@ def runs(draw) -> RunResult:
     return RunResult(
         config=ExperimentConfig(task=KN), corpus_path="", backend_kind="replay",
         failure_policy="map_to_other", started_at="", finished_at="",
-        words=words, replies=replies, table=resolve_predictions(words, replies, KN),
+        words=words, replies=replies, hits=[False] * len(words), repeats_hit=False,
+        table=resolve_predictions(words, replies, KN),
         index=array("I", index), cache_hits=0, unparseable_count=0,
     )
 

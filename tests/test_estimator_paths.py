@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import dravlid.baseline
+from dravlid.backends import BaselineBackend
 from dravlid.baseline import classify_baseline, load_wordlist
 from dravlid.classifiers import LLMClassifier, RuleBasedClassifier
 from dravlid.corpus import parse_corpus_file
@@ -52,3 +53,12 @@ def test_unknown_policy_raises_before_the_backend_is_called():
     clf.set_params(failure_policy="strict")
     assert clf.predict(["hello"]) == [Category.ENGLISH]
     assert backend.calls == [["hello"]]
+
+
+@pytest.mark.parametrize("clf", [
+    RuleBasedClassifier(task="kn"), LLMClassifier(task="kn", backend=BaselineBackend()),
+])
+def test_an_estimator_refuses_a_dataset_of_the_other_task(clf):
+    tamil = parse_corpus_file(smoke_corpus_path(TaskLanguage.TAMIL), TaskLanguage.TAMIL)
+    with pytest.raises(ValueError, match="a kannada config cannot run over a tamil corpus"):
+        clf.predict_codes(tamil)

@@ -33,6 +33,7 @@ from dravlid.runner import (
     evaluate_run,
     read_predictions_jsonl,
     run_experiment,
+    write_predictions,
     write_predictions_jsonl,
 )
 from dravlid.taxonomy import Category, TaskLanguage, valid_codes
@@ -197,6 +198,31 @@ def test_predict_detailed_matches_a_per_token_reference(words, task, kind, polic
     assert clf.predict_detailed(words) == expected
     if kind == "live":
         assert backend.transport.requests == len(set(words))
+
+
+@given(
+    words=st.lists(_WORD, min_size=1, max_size=6, unique=True).flatmap(
+        lambda vocabulary: st.lists(st.sampled_from(vocabulary), min_size=1, max_size=20)
+    ),
+    task=st.sampled_from(list(TaskLanguage)),
+    kind=st.sampled_from(["baseline", "replay", "live"]),
+)
+def test_predict_detailed_is_the_run_the_cli_writes(words, task, kind):
+    """Words with repeats: predict_detailed flags as many tokens from_cache
+    as run_experiment counts cache hits, and its codes are the category
+    codes that write_predictions writes for that run."""
+    config = ExperimentConfig(task=task, temperature=0.7)
+    clf = LLMClassifier(task=task, backend=make_backend(kind, words, config), temperature=0.7)
+    detailed = clf.predict_detailed(words)
+    ds = Dataset(task, words, [None] * len(words))
+    run = run_experiment(ds, config, make_backend(kind, words, config))
+    out = io.BytesIO()
+    write_predictions(run, out)
+
+    assert sum(p.from_cache for p in detailed) == run.cache_hits
+    assert [p.category_code for p in detailed] == [
+        json.loads(line)["category_code"] for line in io.BytesIO(out.getvalue())
+    ]
 
 
 def reply_at(word: str, temperature: float) -> str:

@@ -12,12 +12,12 @@ from dravlid.prompting import (
     ExperimentConfig,
     render_prompt,
     sweep_configs,
-    template_for,
 )
 from dravlid.taxonomy import TaskLanguage
 
 KN = TaskLanguage.KANNADA
 TM = TaskLanguage.TAMIL
+TEMPLATES = {KN: KANNADA_TEMPLATE, TM: TAMIL_TEMPLATE}
 
 # The exact strings the pipeline must send, frozen independently of the
 # template constants so an accidental edit to either side fails loudly.
@@ -49,16 +49,16 @@ class TestGoldenPrompts:
         assert KANNADA_TEMPLATE.count(PLACEHOLDER) == 1
         assert TAMIL_TEMPLATE.count(PLACEHOLDER) == 1
 
-    def test_template_for(self):
-        assert template_for(KN) is KANNADA_TEMPLATE
-        assert template_for(TM) is TAMIL_TEMPLATE
+    def test_each_task_renders_its_template(self):
+        for task, template in TEMPLATES.items():
+            assert render_prompt("mane", task) == template.replace(PLACEHOLDER, "mane")
 
 
 class TestRenderProperties:
     @given(st.text(alphabet=st.characters(codec="ascii", categories=["L", "N"]), min_size=1, max_size=20))
     @pytest.mark.parametrize("task", [KN, TM])
     def test_word_substituted_exactly_once(self, task, word):
-        template = template_for(task)
+        template = TEMPLATES[task]
         rendered = render_prompt(word, task)
         # The template itself may contain the word ("is", "and", ...), so
         # count against the template with the placeholder removed.
@@ -69,7 +69,7 @@ class TestRenderProperties:
     @given(st.text(alphabet=st.characters(codec="ascii", categories=["L", "N"]), min_size=1, max_size=20))
     def test_everything_but_the_word_is_template(self, word):
         for task in (KN, TM):
-            template = template_for(task)
+            template = TEMPLATES[task]
             prefix, suffix = template.split(PLACEHOLDER)
             rendered = render_prompt(word, task)
             assert rendered.startswith(prefix)
